@@ -14,7 +14,8 @@ Subpackage map:
 - ``eulerfuncs``  product-defined special functions (ratio-limit function D,
   even/odd split E, generalized little-gamma constants, Dirichlet-style
   s-derivative values)
-- ``exprlang``    tiny constant-expression language for closed forms
+- ``exprlang``    tiny expression language for closed forms and, with one
+  integer variable bound, for product fields
 - ``harness``     identity registry, verification engine, JSON reports
 - ``cli``         the ``altprod`` command
 """

@@ -1,19 +1,25 @@
-"""A small closed constant-expression language.
+"""A small closed expression language.
 
 Every identity's right-hand side is stated as text in this language, so the
 registry stays declarative and auditable. `parse` builds an immutable tree
 (or returns a `ParseDiagnostic` instead of raising), `print_expr`
 regenerates canonical text that reparses to a structurally identical tree,
 and `eval_expr` delegates each special value to the dual-route constant
-table and the zeta/gamma kernel. The vocabulary is closed: six named
-constants, eight functions, no variables.
+table and the zeta/gamma kernel. The vocabulary of a right-hand side is
+closed: six named constants, eight functions, no variables.
+
+The fields of a product spec are written in the same grammar, as exact
+rational functions of one integer variable: `compile_field` binds that
+variable, admits no other name, and compiles the tree once into a function
+from an int to a `Fraction`.
 """
 
 import dataclasses
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Tuple, Union
+from typing import Callable, Tuple, Union
 
 from . import constants as cst
 from . import numkernel as nk
@@ -66,6 +72,14 @@ class ConstRef:
 
 
 @dataclass(frozen=True)
+class Var:
+    """The integer variable a product field is written in (see compile_field)."""
+
+    name: str
+    span: Span = field(compare=False, repr=False)
+
+
+@dataclass(frozen=True)
 class Unary:
     op: str  # "neg"
     operand: "Node"
@@ -87,7 +101,7 @@ class Call:
     span: Span = field(compare=False, repr=False)
 
 
-Node = Union[RationalLit, ConstRef, Unary, Binary, Call]
+Node = Union[RationalLit, ConstRef, Var, Unary, Binary, Call]
 
 
 @dataclass(frozen=True)
@@ -114,7 +128,7 @@ class ParseDiagnostic:
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str  # "num" | "name" | one of "+-*/^(),", or "end"
+    kind: str  # "num" | "name" | "var" | one of "+-*/^(),", or "end"
     text: str
     pos: int  # character offset
 
@@ -195,6 +209,9 @@ def _parse_unary(toks, i):
     if toks[i].kind == "-":
         inner, j = _parse_unary(toks, i + 1)
         return Unary("neg", inner, Span(toks[i].pos, inner.span.end)), j
+    if toks[i].kind == "+":
+        inner, j = _parse_unary(toks, i + 1)
+        return dataclasses.replace(inner, span=Span(toks[i].pos, inner.span.end)), j
     return _parse_pow(toks, i)
 
 
@@ -212,6 +229,8 @@ def _parse_atom(toks, i):
     tok = toks[i]
     if tok.kind == "num":
         return RationalLit(Fraction(tok.text), Span(tok.pos, tok.end)), i + 1
+    if tok.kind == "var":
+        return Var(tok.text, Span(tok.pos, tok.end)), i + 1
     if tok.kind == "name":
         if toks[i + 1].kind == "(":
             return _parse_call(toks, i)
@@ -241,7 +260,7 @@ def _parse_atom(toks, i):
         return node, i + 1
     raise _Diag(
         tok.pos,
-        "a number, a name, '-' or '('",
+        "a number, a name, '+', '-' or '('",
         f"expected a value, found {_describe(tok)}",
     )
 
@@ -283,21 +302,24 @@ def _parse_call(toks, i):
     return Call(lowered, tuple(args), Span(name_tok.pos, close.end)), i + 1
 
 
+def _parse_tokens(text: str, toks) -> ConstExpr:
+    node, i = _parse_expr(toks, 0)
+    if toks[i].kind != "end":
+        raise _Diag(
+            toks[i].pos,
+            "an operator or end of input",
+            f"unexpected {_describe(toks[i])} after a complete expression",
+        )
+    return ConstExpr(node, text)
+
+
 def parse(text: str):
     """Parse source text; returns a ConstExpr, or a ParseDiagnostic on any
     syntax, name, or arity problem (never raises for those)."""
     if not isinstance(text, str):
         raise SpecError("expression source must be a string")
     try:
-        toks = _lex(text)
-        node, i = _parse_expr(toks, 0)
-        if toks[i].kind != "end":
-            raise _Diag(
-                toks[i].pos,
-                "an operator or end of input",
-                f"unexpected {_describe(toks[i])} after a complete expression",
-            )
-        return ConstExpr(node, text)
+        return _parse_tokens(text, _lex(text))
     except _Diag as d:
         return ParseDiagnostic(_byte_offset(text, d.pos), d.expected, d.message)
 
@@ -340,6 +362,8 @@ def _print(n: Node) -> str:
         return _print_number(n.value)
     if isinstance(n, ConstRef):
         return _PRINT_CONST[n.name]
+    if isinstance(n, Var):
+        return n.name
     if isinstance(n, Call):
         return _PRINT_FN[n.name] + "(" + ", ".join(_print(a) for a in n.args) + ")"
     if isinstance(n, Unary):
@@ -395,7 +419,7 @@ def _run(span: Span, source: str, fn):
         wrapped = kind(f"{text} (in {frag!r} at bytes {b0}..{b1})")
         wrapped._spanned = True
         raise wrapped from err
-    if _mag_bits(v) > _MAX_MAG_BITS:
+    if abs(_mag_bits(v)) > _MAX_MAG_BITS:
         frag = source[span.start : span.end]
         b0 = _byte_offset(source, span.start)
         err = OracleRangeError(
@@ -451,6 +475,8 @@ def _eval(node: Node, wp: int, source: str) -> Real:
         return nk.to_real(node.value, wp)
     if isinstance(node, ConstRef):
         return _run(node.span, source, lambda: _const_value(node.name, wp))
+    if isinstance(node, Var):
+        raise SpecError(f"variable {node.name!r} has no value in a constant expression")
     if isinstance(node, Unary):
         return -_eval(node.operand, wp, source)
     if isinstance(node, Binary):
@@ -475,3 +501,105 @@ def eval_expr(expr: ConstExpr, p: int) -> Real:
         raise SpecError("precision must be >= 16 bits")
     wp = p + 32
     return _eval(expr.root, wp, expr.source).at(p)
+
+
+# ---------------------------------------------------------------------------
+# exact compiler for product fields
+#
+# A compiled subtree is either its exact value, folded here because it does
+# not use the variable, or a closure from the variable's value to a number.
+# Integral values stay Python ints, off the much slower Fraction paths.
+
+# exact powers past this many bits would take unbounded time to build
+_MAX_EXACT_BITS = 1 << 24
+
+
+def _exact_div(a, b):
+    if not b:
+        raise SpecError("division by zero in expression")
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
+def _exact_pow(a, e):
+    if e.denominator != 1:
+        raise SpecError("exponent in ^ must be an integer")
+    e = e.numerator
+    # floor(log2) of the larger part; 0 for a = +-1, whose powers stay small
+    log2_a = max(a.numerator.bit_length(), a.denominator.bit_length()) - 1
+    if abs(e) * log2_a > _MAX_EXACT_BITS:
+        raise OracleRangeError("exact power exceeds the supported range")
+    if e >= 0:
+        return a ** e
+    if not a:
+        raise SpecError("division by zero in expression")
+    return Fraction(a) ** e
+
+
+_EXACT_OPS = {
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
+    "div": _exact_div,
+    "pow": _exact_pow,
+}
+
+
+def _compile(node: Node):
+    if isinstance(node, RationalLit):
+        v = node.value
+        return v.numerator if v.denominator == 1 else v
+    if isinstance(node, Var):
+        return operator.index  # the variable's value itself
+    if isinstance(node, Unary):
+        f = _compile(node.operand)
+        return (lambda x: -f(x)) if callable(f) else -f
+    op = _EXACT_OPS[node.op]
+    a, b = _compile(node.left), _compile(node.right)
+    if not callable(b):
+        if node.op == "pow" and b.denominator != 1:
+            raise SpecError("exponent in ^ must be an integer")
+        if not callable(a):
+            v = op(a, b)
+            return v.numerator if v.denominator == 1 else v
+        return lambda x: op(a(x), b)
+    if not callable(a):
+        return lambda x: op(a, b(x))
+    return lambda x: op(a(x), b(x))
+
+
+def compile_field(text: str, var: str) -> Tuple[ConstExpr, Callable[[int], Fraction]]:
+    """Parse `text` as an exact rational expression in the integer variable
+    `var` and compile it once; returns the tree and a function from the
+    variable's value to a Fraction.
+
+    Any other name is refused, because constants and functions have no exact
+    rational value.  Syntax errors raise SpecError naming the byte offset.
+    """
+    try:
+        toks = _lex(text)
+        for i, t in enumerate(toks):
+            if t.kind == "name":
+                if t.text != var:
+                    raise SpecError(
+                        f"unknown symbol {t.text!r} at byte {_byte_offset(text, t.pos)}; "
+                        f"only {var!r} is available here"
+                    )
+                toks[i] = _Token("var", t.text, t.pos)
+        expr = _parse_tokens(text, toks)
+    except _Diag as d:
+        raise SpecError(
+            f"malformed expression at byte {_byte_offset(text, d.pos)}: {d.message}"
+        ) from None
+    f = _compile(expr.root)
+    if not callable(f):
+        value = Fraction(f)
+        return expr, lambda x: value
+
+    def run(x: int) -> Fraction:
+        v = f(x)
+        return v if type(v) is Fraction else Fraction(v)
+
+    return expr, run

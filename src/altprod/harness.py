@@ -214,144 +214,14 @@ class Registry:
         return self._lhs_forms[id]
 
 
-# The packaged registry text, embedded as a fallback so the library works
-# even when the data file is unavailable; a test pins file == embedded.
-EMBEDDED_REGISTRY_TEXT = """\
-# Identity registry: one record per blank-line-separated block.
-# Keys: id, description, lhs, rhs, method, anchor. Values may be quoted.
-# lhs forms: "product <NAME> [x]", "dfunc <ROUTE> <x>", "lerch <s> <u>", "csratio".
-
-id = KT1
-description = Alternating product of adjacent-integer ratios with linear exponents, closed by a half-exponent bridge factor.
-lhs = product KT1
-rhs = "exp(7*zeta3/(4*pi^2) + 1/4)"
-method = RICHARDSON
-anchor = linear-exponent-plus-quarter
-
-id = KT2
-description = Companion of KT1 with the reciprocal pairing; the limit carries the opposite exponential shift.
-lhs = product KT2
-rhs = "exp(7*zeta3/(4*pi^2) - 1/4)"
-method = RICHARDSON
-anchor = linear-exponent-minus-quarter
-
-id = KT3
-description = Alternating product of odd-integer ratios with linear exponents, closed by an odd-ratio bridge factor.
-lhs = product KT3
-rhs = "exp(2*catalan/pi - 1/2)"
-method = RICHARDSON
-anchor = odd-ratio-minus-half
-
-id = KT4
-description = Companion of KT3 with the reciprocal pairing; the limit carries the opposite exponential shift.
-lhs = product KT4
-rhs = "exp(2*catalan/pi + 1/2)"
-method = RICHARDSON
-anchor = odd-ratio-plus-half
-
-id = MELZAK
-description = Alternating product of shifted-square ratios whose limit ties the circle constant to e.
-lhs = product MELZAK
-rhs = "pi*e/2"
-method = RICHARDSON
-anchor = shifted-square-pi-e
-
-id = HOLCOMBE
-description = Squared odd-ratio alternating product converging to the circle constant.
-lhs = product HOLCOMBE
-rhs = "pi"
-method = RICHARDSON
-anchor = squared-odd-ratio-pi
-
-id = GS53R
-description = Rearranged square-exponent alternating product; the rational bridge removes the drift term.
-lhs = product GS53R
-rhs = "exp(7*zeta3/pi^2)"
-method = RICHARDSON
-anchor = rearranged-square-exponent
-
-id = GS55R
-description = Rearranged odd-square-exponent alternating product; the rational bridge removes the drift term.
-lhs = product GS55R
-rhs = "exp(4*catalan/pi)"
-method = RICHARDSON
-anchor = rearranged-odd-square-exponent
-
-id = ADAMCHIK_E_HALF
-description = Squared-ratio parameterized product at parameter 1/2 with the vanishing first factor dropped.
-lhs = product ADAMCHIK_E 1/2
-rhs = "(pi/4)*exp(1/2 + 7*zeta3/pi^2)"
-method = RICHARDSON
-anchor = squared-ratio-at-half
-
-id = D1
-description = Alternating consecutive-ratio product at parameter 1, against its Glaisher closed form.
-lhs = product BD_D 1
-rhs = "glaisher^6/(2^(1/6)*sqrt(pi))"
-method = RICHARDSON
-anchor = ratio-limit-at-one
-
-id = DHALF
-description = Alternating consecutive-ratio product at parameter 1/2, against its Glaisher-Catalan closed form.
-lhs = product BD_D 1/2
-rhs = "2^(1/6)*sqrt(pi)*glaisher^3*exp(catalan/pi)/gamma(1/4)"
-method = RICHARDSON
-anchor = ratio-limit-at-half
-
-id = DGAMMA_ONE
-description = Series route to the parameter-1 ratio limit through the parameterized Euler-constant pair at z = -1.
-lhs = dfunc GAMMA_SERIES 1
-rhs = "glaisher^6/(2^(1/6)*sqrt(pi))"
-method = EULER
-anchor = series-route-at-one
-
-id = DGAMMA_HALF
-description = Series route to the parameter-1/2 ratio limit through the parameterized Euler-constant pair at z = -1.
-lhs = dfunc GAMMA_SERIES 1/2
-rhs = "2^(1/6)*sqrt(pi)*glaisher^3*exp(catalan/pi)/gamma(1/4)"
-method = EULER
-anchor = series-route-at-half
-
-id = CS_RATIO
-description = Ratio of Barnes-G values at the quarter points over Gamma(1/4), against its Catalan closed form.
-lhs = csratio
-rhs = "2^(-1/8)*pi^(-1/4)*exp(catalan/(2*pi))"
-method = BARNES_CLOSED
-anchor = barnes-quarter-ratio
-
-id = LERCH_CUBE
-description = s-derivative of the alternating Lerch series at s = -2, u = 1; rational multiple of zeta(3) over pi^2.
-lhs = lerch -2 1
-rhs = "7*zeta3/(4*pi^2)"
-method = HURWITZ_SPLIT
-anchor = lerch-deriv-zeta3
-
-id = LERCH_CATALAN
-description = s-derivative of the alternating Lerch series at s = -1, u = 1/2; Catalan over pi.
-lhs = lerch -1 1/2
-rhs = "catalan/pi"
-method = HURWITZ_SPLIT
-anchor = lerch-deriv-catalan
-"""
-
-
-def packaged_registry_text() -> str:
-    """The registry data file's text; falls back to the embedded copy."""
-    try:
-        return (
-            resources.files("altprod").joinpath("data/registry.txt").read_text()
-        )
-    except (FileNotFoundError, ModuleNotFoundError, OSError):
-        return EMBEDDED_REGISTRY_TEXT
-
-
 _default_registry: Optional[Registry] = None
 
 
 def default_registry() -> Registry:
     global _default_registry
     if _default_registry is None:
-        _default_registry = Registry(parse_registry(packaged_registry_text()))
+        text = resources.files("altprod").joinpath("data/registry.txt").read_text()
+        _default_registry = Registry(parse_registry(text))
     return _default_registry
 
 

@@ -1,11 +1,13 @@
 """Declarative evaluation of alternating infinite products.
 
 A product is described by a factor base (a positive rational function of the
-factor index k), an integer exponent formula (polynomial in k, optionally
-carrying a (-1)^k alternation), a per-factor rational power of e, a truncation
-map from sequence index n to the last included k, and an optional per-index
-closing factor ("bridge") of the form base(n)^power(n) * e^epower(n) that is
-replaced, not accumulated, as n grows.
+factor index k), an integer exponent formula (rational in k, optionally
+carrying a (-1)^k alternation), a per-factor rational power of e, a strictly
+increasing truncation map from sequence index n to the last included k, and
+an optional per-index closing factor ("bridge") of the form
+base(n)^power(n) * e^epower(n) that is replaced, not accumulated, as n grows.
+Every field is an `exprlang` expression in k or n, compiled once to an exact
+rational function.
 
 Partial products are available in two forms: exactly, as a rational number
 times a rational power of e (the brute-force oracle), and in log space at
@@ -17,11 +19,11 @@ through the same parser, so user-defined products follow an identical code
 path.
 """
 
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Tuple
 
+from . import exprlang as ex
 from . import numkernel as nk
 from .accel import (
     PARTIAL_SUMS,
@@ -50,181 +52,42 @@ __all__ = [
 ORACLE_BITS_CAP = 48_000_000
 
 
-# -- expression micro-language -------------------------------------------------
+# -- field grammar ---------------------------------------------------------------
 #
-# Integer-coefficient polynomial quotients in one variable, with ^ admitted for
-# constant integer powers and for the alternating atom (-1)^<poly>.  Bridge
-# bases additionally admit <poly>^<poly>, which is how truncation-dependent
+# Fields are exprlang expressions in k (factor, exponent, e_exponent) or n
+# (upper, bridge).  The product grammar narrows exprlang's in one respect: a
+# variable exponent is admitted only on the alternating atom (-1)^<expr> in
+# `exponent`, and anywhere in a bridge base, which is how truncation-dependent
 # closing factors like (2n+2)^(4n+5) are written.
 
-_TOKENS = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|(\^)|(\*)|(/)|(\+)|(-)|(\()|(\)))")
-
-_NUM = "num"
-_VAR = "var"
-_ADD = "add"
-_SUB = "sub"
-_MUL = "mul"
-_DIV = "div"
-_NEG = "neg"
-_POW = "pow"
+_MINUS_ONE = ex.Unary("neg", ex.RationalLit(Fraction(1), ex.Span(0, 0)), ex.Span(0, 0))
 
 
-class _ExprParser:
-    def __init__(self, text: str, var: str):
-        self.var = var
-        self.toks = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKENS.match(text, pos)
-            if m is None:
-                if text[pos:].strip() == "":
-                    break
-                raise SpecError(f"unreadable expression near {text[pos:]!r}")
-            pos = m.end()
-            if m.group(1):
-                self.toks.append(("int", int(m.group(1))))
-            elif m.group(2):
-                name = m.group(2)
-                if name != var:
-                    raise SpecError(
-                        f"unknown symbol {name!r}; only {var!r} is available here"
-                    )
-                self.toks.append(("var", name))
-            else:
-                self.toks.append((m.group(0).strip(), None))
-        self.pos = 0
-
-    def peek(self):
-        return self.toks[self.pos][0] if self.pos < len(self.toks) else None
-
-    def take(self):
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self):
-        node = self.expr()
-        if self.pos != len(self.toks):
-            raise SpecError("trailing garbage in expression")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            node = (_ADD if op == "+" else _SUB, node, rhs)
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() in ("*", "/"):
-            op = self.take()[0]
-            rhs = self.unary()
-            node = (_MUL if op == "*" else _DIV, node, rhs)
-        return node
-
-    def unary(self):
-        if self.peek() == "-":
-            self.take()
-            return (_NEG, self.unary())
-        if self.peek() == "+":
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            # right-associative; unary binds looser than ^ on the left only
-            return (_POW, base, self.unary())
-        return base
-
-    def atom(self):
-        kind, val = self.take() if self.pos < len(self.toks) else (None, None)
-        if kind == "int":
-            return (_NUM, Fraction(val))
-        if kind == "var":
-            return (_VAR,)
-        if kind == "(":
-            node = self.expr()
-            if self.peek() != ")":
-                raise SpecError("unbalanced parentheses")
-            self.take()
-            return node
-        raise SpecError("malformed expression")
-
-
-def _contains_var(node) -> bool:
-    if node[0] == _VAR:
+def _check_powers(node, allow_alternation: bool, allow_var_base: bool, what: str) -> bool:
+    """Enforce where a variable exponent may stand; returns whether the
+    subtree uses the variable."""
+    if isinstance(node, ex.Var):
         return True
-    if node[0] == _NUM:
+    if isinstance(node, ex.RationalLit):
         return False
-    return any(_contains_var(c) for c in node[1:])
-
-
-def _const_value(node) -> Optional[Fraction]:
-    if _contains_var(node):
-        return None
-    return _eval_expr(node, 0)
-
-
-def _eval_expr(node, value: int) -> Fraction:
-    op = node[0]
-    if op == _NUM:
-        return node[1]
-    if op == _VAR:
-        return Fraction(value)
-    if op == _NEG:
-        return -_eval_expr(node[1], value)
-    a = _eval_expr(node[1], value)
-    if op == _POW:
-        e = _eval_expr(node[2], value)
-        if e.denominator != 1:
-            raise SpecError("exponent in ^ must be an integer")
-        return a ** int(e)
-    b = _eval_expr(node[2], value)
-    if op == _ADD:
-        return a + b
-    if op == _SUB:
-        return a - b
-    if op == _MUL:
-        return a * b
-    if op == _DIV:
-        if b == 0:
-            raise SpecError("division by zero in expression")
-        return a / b
-    raise SpecError("unknown expression node")
-
-
-def _check_powers(node, allow_alternation: bool, allow_var_base: bool, what: str):
-    """Enforce the admitted grammar: ^ takes constant integer exponents, except
-    (-1)^<poly> where alternation is allowed, and <poly>^<poly> in bridge bases."""
-    if node[0] == _POW:
-        base, expo = node[1], node[2]
-        if _contains_var(expo):
-            if allow_var_base:
-                pass
-            elif allow_alternation and _const_value(base) == -1:
-                pass
-            else:
-                raise SpecError(
-                    f"{what}: a variable exponent is only admitted on the (-1) atom"
-                )
-        else:
-            e = _const_value(expo)
-            if e is None or e.denominator != 1:
-                raise SpecError(f"{what}: ^ needs an integer exponent")
-    if node[0] not in (_NUM, _VAR):
-        for child in node[1:]:
-            _check_powers(child, allow_alternation, allow_var_base, what)
+    if isinstance(node, ex.Unary):
+        return _check_powers(node.operand, allow_alternation, allow_var_base, what)
+    left = _check_powers(node.left, allow_alternation, allow_var_base, what)
+    right = _check_powers(node.right, allow_alternation, allow_var_base, what)
+    if node.op == "pow" and right and not (
+        allow_var_base or (allow_alternation and node.left == _MINUS_ONE)
+    ):
+        raise SpecError(f"{what}: a variable exponent is only admitted on the (-1) atom")
+    return left or right
 
 
 def _compile(text: str, var: str, *, alternation=False, var_base=False, what: str):
-    node = _ExprParser(text, var).parse()
-    _check_powers(node, alternation, var_base, what)
-    return node
+    try:
+        tree, fn = ex.compile_field(text, var)
+    except (SpecError, OracleRangeError) as err:
+        raise type(err)(f"{what}: {err}") from None
+    _check_powers(tree.root, alternation, var_base, what)
+    return fn
 
 
 # -- domain types --------------------------------------------------------------
@@ -236,6 +99,9 @@ class ExactPartial:
 
     rational_part: Fraction
     e_power: Fraction
+
+
+_Field = Callable[[int], Fraction]
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,29 +116,29 @@ class BridgedProductSpec:
     name: str
     k_start: int
     source: Mapping[str, str]
-    _factor: tuple = field(repr=False)
-    _exponent: tuple = field(repr=False)
-    _e_exponent: tuple = field(repr=False)
-    _upper: tuple = field(repr=False)
-    _bridge: Optional[Tuple[tuple, tuple, tuple]] = field(repr=False, default=None)
+    _factor: _Field = field(repr=False)
+    _exponent: _Field = field(repr=False)
+    _e_exponent: _Field = field(repr=False)
+    _upper: _Field = field(repr=False)
+    _bridge: Optional[Tuple[_Field, _Field, _Field]] = field(repr=False, default=None)
 
     def factor(self, k: int) -> Fraction:
-        f = _eval_expr(self._factor, k)
+        f = self._factor(k)
         if f <= 0:
             raise DomainError(f"{self.name}: factor at k={k} is not positive ({f})")
         return f
 
     def exponent(self, k: int) -> int:
-        e = _eval_expr(self._exponent, k)
+        e = self._exponent(k)
         if e.denominator != 1:
             raise SpecError(f"{self.name}: exponent at k={k} is not an integer ({e})")
         return int(e)
 
     def e_exponent(self, k: int) -> Fraction:
-        return _eval_expr(self._e_exponent, k)
+        return self._e_exponent(k)
 
     def upper_index(self, n: int) -> int:
-        u = _eval_expr(self._upper, n)
+        u = self._upper(n)
         if u.denominator != 1:
             raise SpecError(f"{self.name}: upper index at n={n} is not an integer")
         return int(u)
@@ -280,17 +146,20 @@ class BridgedProductSpec:
     def bridge(self, n: int) -> Optional[Tuple[Fraction, int, Fraction]]:
         if self._bridge is None:
             return None
-        base_e, power_e, epower_e = self._bridge
-        base = _eval_expr(base_e, n)
-        power = _eval_expr(power_e, n)
+        base_f, power_f, epower_f = self._bridge
+        base = base_f(n)
+        power = power_f(n)
         if power.denominator != 1:
             raise SpecError(f"{self.name}: bridge power at n={n} is not an integer")
         if base <= 0:
             raise DomainError(f"{self.name}: bridge base at n={n} is not positive")
-        return base, int(power), _eval_expr(epower_e, n)
+        return base, int(power), epower_f(n)
 
 
 # -- parsing and serialization ---------------------------------------------------
+
+# the largest sequence index probed when a spec is admitted or started
+_PROBE_N = 64
 
 _SPEC_KEYS = ("name", "factor", "exponent", "e_exponent", "k_start", "upper", "bridge")
 
@@ -344,7 +213,7 @@ def parse_product_spec(text: str) -> BridgedProductSpec:
     canon.setdefault("e_exponent", "0")
     canon.setdefault("k_start", "1")
     canon["k_start"] = str(k_start)
-    return BridgedProductSpec(
+    spec = BridgedProductSpec(
         name=name,
         k_start=k_start,
         source=canon,
@@ -354,6 +223,16 @@ def parse_product_spec(text: str) -> BridgedProductSpec:
         _upper=upper,
         _bridge=bridge,
     )
+    # a truncation map that stalls or turns back does not describe a sequence
+    # of ever longer partial products; probed on the window _first_index uses
+    uppers = [spec.upper_index(n) for n in range(_PROBE_N + 1)]
+    for n in range(1, _PROBE_N + 1):
+        if uppers[n] <= uppers[n - 1]:
+            raise SpecError(
+                f"{name}: upper must increase strictly with n, but upper({n}) = "
+                f"{uppers[n]} after upper({n - 1}) = {uppers[n - 1]}"
+            )
+    return spec
 
 
 def serialize_product_spec(spec: BridgedProductSpec) -> str:
@@ -591,10 +470,10 @@ def log_partial(spec: BridgedProductSpec, n: int, p: int) -> Real:
 
 
 def _first_index(spec: BridgedProductSpec) -> int:
-    for n in range(1, 65):
+    for n in range(1, _PROBE_N + 1):
         if spec.upper_index(n) >= spec.k_start:
             return n
-    raise SpecError(f"{spec.name}: no sequence index reaches k_start within n <= 64")
+    raise SpecError(f"{spec.name}: no sequence index reaches k_start within n <= {_PROBE_N}")
 
 
 def limit(

@@ -181,6 +181,37 @@ def test_every_registry_rhs_text_parses():
         assert isinstance(ex.parse(text), ConstExpr), text
 
 
+def test_unary_plus_is_dropped_from_the_tree():
+    assert tree("+pi") == tree("pi")
+    assert tree("2*+3") == tree("2*3")
+    assert ex.print_expr(tree("-+pi")) == "-pi"
+
+
+def test_product_field_variables_are_not_names_in_a_right_hand_side():
+    assert isinstance(ex.parse("k"), ex.ParseDiagnostic)
+    assert isinstance(ex.parse("2*n"), ex.ParseDiagnostic)
+
+
+def test_compile_field_is_exact_and_folds_constants():
+    expr, f = ex.compile_field("(2^3 - 1.5)*k/(k+1) + (-1)^k", "k")
+    assert ex.print_expr(expr) == "(2^3 - 1.5)*k/(k + 1) + (-1)^k"
+    for k in range(-3, 9):
+        if k != -1:
+            got = f(k)
+            assert type(got) is Fraction
+            assert got == Fraction(13, 2) * k / (k + 1) + (-1) ** k
+    with pytest.raises(SpecError, match="division by zero"):
+        f(-1)
+    _, c = ex.compile_field("7/2", "n")
+    assert c(5) == Fraction(7, 2)
+
+
+def test_eval_expr_refuses_a_tree_with_a_variable():
+    expr, _ = ex.compile_field("k + 1", "k")
+    with pytest.raises(SpecError, match="variable 'k'"):
+        ex.eval_expr(expr, 64)
+
+
 # ---------------------------------------------------------------------------
 # printer round trip
 

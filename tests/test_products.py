@@ -95,6 +95,56 @@ def test_factor_must_stay_positive_and_the_error_names_the_index():
         pr.partial_exact(spec, 2)
 
 
+def spec_with(**fields):
+    base = {"name": "x", "factor": "k/(k+1)", "exponent": "k", "upper": "2*n"}
+    base.update(fields)
+    return pr.parse_product_spec("\n".join(f"{k} = {v}" for k, v in base.items()))
+
+
+def test_syntax_error_names_the_field_and_byte_offset():
+    with pytest.raises(SpecError, match=r"^factor: malformed expression at byte 1\b"):
+        spec_with(factor="k$2")
+    with pytest.raises(SpecError, match=r"^upper: malformed expression at byte 3\b"):
+        spec_with(upper="2*n)")
+
+
+def test_unary_plus_is_accepted():
+    spec = spec_with(factor="+k/(+k+1)", exponent="+k*(-1)^+k")
+    assert spec.factor(3) == Fraction(3, 4)
+    assert spec.exponent(3) == -3
+
+
+def test_decimal_literals_are_exact():
+    a = spec_with(factor="1.5*k")
+    b = spec_with(factor="3*k/2")
+    for k in range(1, 9):
+        assert a.factor(k) == b.factor(k) == Fraction(3 * k, 2)
+
+
+@pytest.mark.parametrize("text", ["pi*k", "e", "exp(k)", "k*Catalan"])
+def test_constants_and_functions_are_unknown_symbols(text):
+    with pytest.raises(SpecError, match=r"^factor: unknown symbol"):
+        spec_with(factor=text)
+
+
+def test_constant_exponent_must_be_integral():
+    with pytest.raises(SpecError, match="integer"):
+        spec_with(factor="k^(1/2)")
+
+
+def test_oversized_exact_power_is_refused_at_parse_time():
+    with pytest.raises(OracleRangeError, match="^factor: exact power"):
+        spec_with(factor="k*2^(10^9)")
+    # powers of -1 stay one bit wide however large the index
+    assert spec_with(exponent="k*(-1)^k").exponent(10**9 + 1) == -(10**9 + 1)
+
+
+@pytest.mark.parametrize("upper", ["100-n", "5", "n*(n-3)", "(n-8)^2"])
+def test_upper_must_increase_strictly(upper):
+    with pytest.raises(SpecError, match="increase strictly"):
+        spec_with(upper=upper)
+
+
 @pytest.mark.parametrize("name", ["KT1", "KT2", "KT3", "KT4", "MELZAK", "GS53R", "GS55R", "HOLCOMBE"])
 def test_serialize_round_trip(name):
     a = pr.builtin(name)
