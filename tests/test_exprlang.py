@@ -405,3 +405,29 @@ def test_decimal_literal_round_trip_property(num, shift):
     t = tree(text)
     assert ex.parse(ex.print_expr(t)) == t
     assert t.root.value == Fraction(num, 10**shift)
+
+
+_FIELD_TEXTS = st.recursive(
+    st.sampled_from(["k", "1", "2", "3", "7", "1.5"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        inner.map(lambda a: f"({a})^2"),
+        inner.map(lambda a: f"({a})^(0-1)"),
+        inner.map(lambda a: f"-{a}*(-1)^k"),
+    ),
+    max_leaves=8,
+)
+
+
+@settings(deadline=None, max_examples=120)
+@given(text=_FIELD_TEXTS, k=st.integers(-6, 40))
+def test_compiled_field_matches_the_constant_evaluator(text, k):
+    # the exact compiler against the Real evaluator on the text with k spelled out
+    try:
+        want = ex.compile_field(text, "k")[1](k)
+    except SpecError:  # division by zero, folded or at this k
+        return
+    assert type(want) is Fraction
+    got = as_mpf(ex.eval_expr(tree(text.replace("k", f"({k})")), 256))
+    ref = mp.mpf(want.numerator) / want.denominator
+    assert abs(got - ref) <= mp.mpf(2) ** -180 * (1 + abs(ref))
