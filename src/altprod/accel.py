@@ -7,9 +7,10 @@ sequences into accelerated limit estimates with empirical error estimates:
 - ``euler_transform_sum``  for alternating series with a smooth term
   envelope (binary-averaged form of the classical transform),
 - ``wynn_epsilon_limit``   the epsilon algorithm on partial sums,
-- ``richardson_limit``     polynomial extrapolation in 1/n,
-- ``estimate_limit``       a driver that escalates the term budget until an
-  error target is met.
+- ``richardson_limit``     polynomial extrapolation in 1/n, an exact dot
+  product of the samples with closed-form Lagrange weights,
+- ``estimate_limit``       a driver that doubles the term budget until an
+  error target is met, or until the last doubling shows it out of reach.
 
 Everything operates in log space by convention: callers hand in log partial
 products, never the products themselves, so magnitudes stay O(1).
@@ -230,20 +231,38 @@ def wynn_epsilon_limit(seq: SequenceGen, p: int, max_terms: int) -> LimitEstimat
 # -- Richardson / polynomial extrapolation --------------------------------------
 
 
+def _lagrange_weights(n0: int, m: int) -> list:
+    """Integer numerators of the Lagrange weights at 0 through the nodes
+    1/n0 .. 1/(n0+m); their common denominator is m!.
+
+    With n_i = n0 + i the weight prod_{j != i} x_j / (x_j - x_i) collapses to
+    (-1)^(m-i) * C(m, i) * n_i^m / m!.
+    """
+    weights = []
+    binom = 1
+    for i in range(m + 1):
+        w = binom * (n0 + i) ** m
+        weights.append(w if (m - i) % 2 == 0 else -w)
+        binom = binom * (m - i) // (i + 1)
+    return weights
+
+
 def _node_condition_bits(n0: int, count: int) -> int:
     """Bits of cancellation in extrapolating to 0 from nodes 1/n0 .. 1/(n0+count-1).
 
-    Estimated from the Lagrange weights at 0 via float log arithmetic.
+    log2 of the largest Lagrange weight at 0, rounded up from the exact
+    integer weights, plus the bits of the weight count.
     """
-    xs = [1.0 / (n0 + i) for i in range(count)]
-    worst = 0.0
-    for i in range(count):
-        lw = 0.0
-        for j in range(count):
-            if j != i:
-                lw += math.log2(abs(xs[j])) - math.log2(abs(xs[j] - xs[i]))
-        worst = max(worst, lw)
-    return max(0, int(worst) + count.bit_length() + 4)
+    m = count - 1
+    top = max(abs(w) for w in _lagrange_weights(n0, m))
+    # 2^(bitlen(top) - bitlen(m!) + 1) exceeds top / m!, so this never undercounts
+    weight_bits = top.bit_length() - math.factorial(m).bit_length() + 1
+    return max(0, weight_bits + count.bit_length() + 4)
+
+
+def _dyadic_scaled(num: int, den: int, e: int) -> Fraction:
+    """num * 2^e / den, exactly."""
+    return Fraction(num << e, den) if e >= 0 else Fraction(num, den << -e)
 
 
 def richardson_limit(
@@ -251,11 +270,13 @@ def richardson_limit(
 ) -> LimitEstimate:
     """Extrapolate s_n -> s assuming s_n = s + c1/n + c2/n^2 + ...
 
-    Neville's scheme evaluates the interpolating polynomial through
-    (1/n, s_n) at 0.  Nodes are consecutive indices n0, n0+1, ...; they are
-    kept as exact rationals and realized at working precision, which the
-    conditioning estimate boosts to pay for the extrapolation's
-    cancellation.
+    The interpolating polynomial through (1/n, s_n) is evaluated at 0 as a dot
+    product with the closed-form Lagrange weights, once through all J+1 nodes
+    and once through the first J; their difference is the error estimate.
+    Nodes are consecutive indices n0, n0+1, ...; the samples are taken at a
+    working precision that the conditioning estimate boosts to pay for the
+    extrapolation's cancellation, and both dot products are summed exactly
+    over the samples' dyadic mantissas and rounded once.
     """
     if seq.kind != PARTIAL_SUMS:
         raise SpecError("richardson_limit needs a PARTIAL_SUMS sequence")
@@ -268,25 +289,22 @@ def richardson_limit(
     count = J + 1
 
     wp = p + _node_condition_bits(n0, count) + 32
-    xs = [Fraction(1, n0 + i) for i in range(count)]
     t = [seq.term_at(n0 + i, wp) for i in range(count)]
     if short := _all_equal_shortcut(t, RICHARDSON, n0 + J):
         return short
 
-    xr = [to_real(x, wp) for x in xs]
-    diag = [t[0]]
-    for j in range(1, count):
-        for i in range(count - j):
-            num = nk.sub(
-                nk.mul(xr[i + j], t[i], wp), nk.mul(xr[i], t[i + 1], wp), wp
-            )
-            den = to_real(xs[i + j] - xs[i], wp)
-            t[i] = nk.div(num, den, wp)
-        diag.append(t[0])
-    err = abs(nk.sub(diag[-1], diag[-2], wp))
+    # each sample is (-1)^sign * man * 2^exp; scaled to the smallest exponent
+    # the samples become integers and both dot products stay exact
+    raws = [x.raw for x in t]
+    e = min(exp for _, man, exp, _ in raws if man)
+    mans = [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in raws]
+    full = sum(w * a for w, a in zip(_lagrange_weights(n0, J), mans))
+    lower = sum(w * a for w, a in zip(_lagrange_weights(n0, J - 1), mans))
+    # the J-node value is lower / (J-1)! = J * lower / J!
+    den = math.factorial(J)
     return LimitEstimate(
-        value=diag[-1].at(p),
-        error_estimate=err.at(p),
+        value=to_real(_dyadic_scaled(full, den, e), p),
+        error_estimate=to_real(_dyadic_scaled(abs(full - J * lower), den, e), p),
         terms_used=n0 + J,
         method=RICHARDSON,
     )
@@ -299,8 +317,9 @@ def _raw_limit(seq: SequenceGen, p: int, max_terms: int) -> LimitEstimate:
     if max_terms < 2:
         raise SpecError("max_terms must be >= 2")
     wp = p + 16
-    last = seq.term_at(seq.n0 + max_terms - 1, wp)
+    # ascending, so an incremental sequence walks forward once
     prev = seq.term_at(seq.n0 + max_terms - 2, wp)
+    last = seq.term_at(seq.n0 + max_terms - 1, wp)
     return LimitEstimate(
         value=last.at(p),
         error_estimate=abs(nk.sub(last, prev, wp)).at(p),
@@ -334,6 +353,46 @@ def _as_alternating(seq: SequenceGen, p: int):
     return s0, sign, gen
 
 
+def _log2_ceil(x: Real) -> int:
+    """An integer upper bound of log2(x) within one, for x > 0."""
+    _, _, exp, bc = x.raw
+    return exp + bc
+
+
+def _within_reach(
+    method: str, before: LimitEstimate, after: LimitEstimate, goal: Real, doublings: int
+) -> bool:
+    """Whether ``doublings`` more budget doublings can still meet ``goal``,
+    judged from how much the last doubling shrank the best error estimate.
+
+    No method goes on once a doubling fails to shrink it.  The accelerated
+    methods' errors fall about geometrically in the term count, so each
+    doubling gains about twice the bits of the one before; they stop when
+    that projection misses the goal at the cap.  RAW is plain truncation and
+    runs to the term count the caller asked for.
+    """
+    gained = _log2_ceil(before.error_estimate) - _log2_ceil(after.error_estimate)
+    if gained <= 0:
+        return False
+    if method == RAW:
+        return True
+    projected = _log2_ceil(after.error_estimate) - gained * (2 ** (doublings + 1) - 2)
+    return projected < _log2_ceil(goal)
+
+
+# Richardson gains about 0.92 digits per node on the catalog products; the
+# first budget is the smallest power of two that reaches the target at 0.9
+_RICHARDSON_DIGITS_PER_NODE = 0.9
+
+
+def _first_budget(method: str, target_digits: int) -> int:
+    budget = 64
+    if method == RICHARDSON:
+        while (budget - 1) * _RICHARDSON_DIGITS_PER_NODE < target_digits:
+            budget *= 2
+    return budget
+
+
 def estimate_limit(
     seq: SequenceGen,
     method: str,
@@ -342,7 +401,13 @@ def estimate_limit(
     max_terms_cap: int = 2048,
 ) -> LimitEstimate:
     """Run ``method`` with a doubling term budget until the empirical error
-    drops below 10^-target_digits, or the cap is exhausted."""
+    drops below 10^-target_digits.
+
+    Richardson starts at the budget its node rate predicts for the target;
+    the other methods start at 64.  Doubling stops at the cap, or as soon as
+    the last doubling shows the goal out of reach (see ``_within_reach``),
+    so a sequence that does not converge costs a bounded number of rounds.
+    """
     if method not in METHODS:
         raise SpecError(f"unknown method {method!r}")
     if target_digits < 1:
@@ -350,7 +415,7 @@ def estimate_limit(
     goal = to_real(Fraction(1, 10**target_digits), 64)
     best: Optional[LimitEstimate] = None
 
-    budget = 64
+    budget = _first_budget(method, target_digits)
     while True:
         budget = min(budget, max_terms_cap)
         try:
@@ -379,12 +444,25 @@ def estimate_limit(
                 est = richardson_limit(seq, p, budget, order=budget - 1)
         except NonConvergenceError as e:
             est = e.best if isinstance(e.best, LimitEstimate) else None
+        before = best
         if est is not None and (best is None or est.error_estimate < best.error_estimate):
             best = est
         if best is not None and best.error_estimate < goal:
             return best
         if budget >= max_terms_cap:
             break
+        # doublings left before the cap: 64 -> 2048 is five
+        left = ((max_terms_cap - 1) // budget).bit_length()
+        # a round without an estimate says nothing about the rate
+        if est is not None and before is not None and not _within_reach(
+            method, before, best, goal, left
+        ):
+            raise NonConvergenceError(
+                f"error estimate {float(best.error_estimate):.3g} above goal "
+                f"10^-{target_digits}, out of reach of term cap {max_terms_cap} "
+                f"at the rate doubling to {budget} terms shrank it",
+                best=best,
+            )
         budget *= 2
     if best is None:
         raise NonConvergenceError("no method produced an estimate")

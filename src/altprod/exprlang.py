@@ -19,7 +19,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Tuple, Union
+from typing import Callable, Dict, Iterator, Tuple, Union
 
 from . import constants as cst
 from . import numkernel as nk
@@ -603,3 +603,42 @@ def compile_field(text: str, var: str) -> Tuple[ConstExpr, Callable[[int], Fract
         return v if type(v) is Fraction else Fraction(v)
 
     return expr, run
+
+
+# ---------------------------------------------------------------------------
+# `key = value` text
+
+
+def key_value_blocks(
+    text: str, keys, messages: Tuple[str, str, str], *, split_blocks: bool
+) -> Iterator[Dict[str, str]]:
+    """Read `key = value` lines into one dict per block.
+
+    Lines are stripped, and '#' lines are comments.  With ``split_blocks``
+    a blank line closes a non-empty block; otherwise the whole text is one
+    block, yielded even when empty.  ``messages`` are the SpecError texts for
+    a line without '=', an unknown key and a duplicate key in its block,
+    formatted with ``lineno``, ``line`` and ``key``.
+    """
+    malformed, unknown, duplicate = messages
+    block: Dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            if split_blocks and block:
+                yield block
+                block = {}
+            continue
+        if line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SpecError(malformed.format(lineno=lineno, line=line))
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise SpecError(unknown.format(lineno=lineno, key=key))
+        if key in block:
+            raise SpecError(duplicate.format(lineno=lineno, key=key))
+        block[key] = value.strip()
+    if block or not split_blocks:
+        yield block

@@ -29,6 +29,11 @@ from .numkernel import NonConvergenceError, Real, SpecError
 DEFAULT_MAX_TERMS = 1000
 DEFAULT_DIGITS = 30
 _RECORD_KEYS = ("id", "description", "lhs", "rhs", "method", "anchor")
+_REGISTRY_MESSAGES = (
+    "registry line {lineno} is not 'key = value': {line!r}",
+    "registry line {lineno}: unknown key {key!r}",
+    "registry line {lineno}: duplicate key {key!r}",
+)
 
 
 @dataclass(frozen=True)
@@ -98,11 +103,10 @@ def parse_registry(text: str) -> Tuple[IdentityRecord, ...]:
     """Parse the key-value registry format: blank-line-separated records of
     `key = value` lines; '#' lines are comments; values may be quoted."""
     records = []
-    block: dict = {}
-
-    def close_block():
-        if not block:
-            return
+    for raw_block in ex.key_value_blocks(
+        text, _RECORD_KEYS, _REGISTRY_MESSAGES, split_blocks=True
+    ):
+        block = {key: _strip_quotes(value) for key, value in raw_block.items()}
         missing = [k for k in ("id", "lhs", "rhs") if k not in block]
         if missing:
             raise SpecError(
@@ -118,26 +122,6 @@ def parse_registry(text: str) -> Tuple[IdentityRecord, ...]:
                 anchor=block.get("anchor", ""),
             )
         )
-        block.clear()
-
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line:
-            close_block()
-            continue
-        if line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise SpecError(f"registry line {lineno} is not 'key = value': {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = _strip_quotes(value.strip())
-        if key not in _RECORD_KEYS:
-            raise SpecError(f"registry line {lineno}: unknown key {key!r}")
-        if key in block:
-            raise SpecError(f"registry line {lineno}: duplicate key {key!r}")
-        block[key] = value
-    close_block()
     return tuple(records)
 
 

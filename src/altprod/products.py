@@ -162,6 +162,11 @@ class BridgedProductSpec:
 _PROBE_N = 64
 
 _SPEC_KEYS = ("name", "factor", "exponent", "e_exponent", "k_start", "upper", "bridge")
+_SPEC_MESSAGES = (
+    "expected 'key = value', got {line!r}",
+    "unknown product field {key!r}",
+    "duplicate product field {key!r}",
+)
 
 
 def parse_product_spec(text: str) -> BridgedProductSpec:
@@ -171,20 +176,7 @@ def parse_product_spec(text: str) -> BridgedProductSpec:
     (default 0), k_start (default 1), bridge (three ';'-separated expressions
     in n: base, power, e-power).
     """
-    fields = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise SpecError(f"expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in _SPEC_KEYS:
-            raise SpecError(f"unknown product field {key!r}")
-        if key in fields:
-            raise SpecError(f"duplicate product field {key!r}")
-        fields[key] = value.strip()
+    (fields,) = ex.key_value_blocks(text, _SPEC_KEYS, _SPEC_MESSAGES, split_blocks=False)
     for req in ("name", "factor", "exponent", "upper"):
         if req not in fields:
             raise SpecError(f"product description is missing {req!r}")
@@ -411,25 +403,33 @@ def partial_exact(spec: BridgedProductSpec, n: int) -> ExactPartial:
 # -- log-space evaluation -----------------------------------------------------------
 
 
+# log_partial guards the running sum with 4*bitlen(upper) bits; flooring the
+# bit length at 16 gives every request at one p up to upper = 2^16 - 3 the
+# same working precision, so a whole Richardson round shares one walk
+_GUARD_BITLEN_FLOOR = 16
+
+
 class ProductEvalSession:
     """Incremental log-partial evaluation for one spec.
 
-    Per requested precision the session keeps the running sum over factors, so
-    walking n upward costs one log per new factor.  Sessions are meant for a
-    single evaluation run and are not shared across threads.
+    The session keeps one running sum over the factors, at the working
+    precision of the latest request; a request at that precision is served
+    from it by rounding, so walking n upward costs one log per new factor.
+    A request at another precision, or one whose truncation index went
+    backward, restarts the walk, which keeps every value a function of
+    (n, p) alone.  Sessions are meant for a single evaluation run and are not
+    shared across threads.
     """
 
     def __init__(self, spec: BridgedProductSpec):
         self.spec = spec
-        self._state = {}  # p -> (next_k, core_log Real, core_e Fraction)
+        self._state = None  # (wp, next_k, core_log Real, core_e Fraction)
 
     def _core(self, upper: int, wp: int):
-        next_k, core_log, core_e = self._state.get(
-            wp, (self.spec.k_start, nk.to_real(0, wp), Fraction(0))
-        )
-        if upper < next_k - 1:
-            # the truncation map went backward; restart rather than subtract
-            next_k, core_log, core_e = self.spec.k_start, nk.to_real(0, wp), Fraction(0)
+        state = self._state
+        if state is None or state[0] != wp or upper < state[1] - 1:
+            state = (wp, self.spec.k_start, nk.to_real(0, wp), Fraction(0))
+        _, next_k, core_log, core_e = state
         while next_k <= upper:
             k = next_k
             f = self.spec.factor(k)
@@ -439,7 +439,7 @@ class ProductEvalSession:
                 term = nk.mul(nk.ln_rational(f, wp), nk.to_real(m, wp), wp)
                 core_log = nk.add(core_log, term, wp)
             next_k = k + 1
-        self._state[wp] = (next_k, core_log, core_e)
+        self._state = (wp, next_k, core_log, core_e)
         return core_log, core_e
 
     def log_partial(self, n: int, p: int) -> Real:
@@ -447,7 +447,8 @@ class ProductEvalSession:
             raise SpecError("partial index must be >= 0")
         spec = self.spec
         upper = spec.upper_index(n)
-        wp = p + 32 + 4 * max(1, (abs(upper) + 2).bit_length())
+        bitlen = max(_GUARD_BITLEN_FLOOR, (abs(upper) + 2).bit_length())
+        wp = p + 32 + 4 * bitlen
         core_log, core_e = self._core(upper, wp)
         e_total = core_e
         acc = core_log

@@ -11,11 +11,14 @@ tests because the verification harness relies on them failing loudly rather
 than quietly.
 """
 
+import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
+from altprod import accel
 from altprod import numkernel as nk
 from altprod import products as pr
 from altprod.accel import (
@@ -259,6 +262,92 @@ def test_richardson_constant_sequence_shortcut():
     assert est.error_estimate.is_zero()
 
 
+def test_lagrange_weights_reproduce_polynomials_in_one_over_n_exactly():
+    # sum_i w_i / n_i^k is m! for k = 0 and 0 for 1 <= k <= m: the weights
+    # extrapolate every polynomial in 1/n of degree <= m to its constant term
+    for n0 in (1, 2, 7):
+        for m in (1, 2, 5, 16):
+            weights = accel._lagrange_weights(n0, m)
+            for k in range(m + 1):
+                total = sum(Fraction(w, (n0 + i) ** k) for i, w in enumerate(weights))
+                assert total == (math.factorial(m) if k == 0 else 0), (n0, m, k)
+
+
+def test_richardson_recovers_the_constant_of_a_polynomial_in_one_over_n():
+    rng = random.Random(5)
+    for J in (1, 4, 12):
+        coeffs = [Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(J + 1)]
+        seq = SequenceGen(
+            term_at=lambda n, p: nk.to_real(
+                sum(c / Fraction(n) ** k for k, c in enumerate(coeffs)), p
+            ),
+            n0=3,
+            kind=PARTIAL_SUMS,
+        )
+        p = 200
+        est = richardson_limit(seq, p, J + 1, J)
+        assert abs(est.value.to_fraction() - coeffs[0]) <= abs(coeffs[0]) * Fraction(2) ** (2 - p)
+
+
+def _neville_reference(nodes, samples):
+    """Exact Neville tableau at 0 through (1/n_i, t_i): the values through
+    all nodes and through all but the last."""
+    xs = [Fraction(1, n) for n in nodes]
+    t = list(samples)
+    diag = [t[0]]
+    for j in range(1, len(t)):
+        for i in range(len(t) - j):
+            t[i] = (xs[i + j] * t[i] - xs[i] * t[i + 1]) / (xs[i + j] - xs[i])
+        diag.append(t[0])
+    return diag[-1], diag[-2]
+
+
+def test_richardson_matches_an_exact_neville_reference_on_random_samples():
+    rng = random.Random(11)
+    for case in range(12):
+        n0 = rng.randint(1, 6)
+        J = rng.randint(1, 14)
+        table = {n: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**3))
+                 for n in range(n0, n0 + J + 1)}
+        if case % 3 == 0:
+            table[n0 + J] = Fraction(0)  # a zero sample has no exponent to align
+        taken = {}
+
+        def term(n, p):
+            taken[n] = nk.to_real(table[n], p)
+            return taken[n]
+
+        p = 96
+        est = richardson_limit(SequenceGen(term_at=term, n0=n0, kind=PARTIAL_SUMS), p, J + 1, J)
+        nodes = range(n0, n0 + J + 1)
+        top, below = _neville_reference(nodes, [taken[n].to_fraction() for n in nodes])
+        # both sums are exact and rounded once, so the bits agree exactly
+        assert est.value.raw == nk.to_real(top, p).raw, case
+        assert est.error_estimate.raw == nk.to_real(abs(top - below), p).raw, case
+
+
+def _old_node_condition_bits(n0, count):
+    """The O(count^2) float estimate the closed form replaced."""
+    xs = [1.0 / (n0 + i) for i in range(count)]
+    worst = 0.0
+    for i in range(count):
+        lw = 0.0
+        for j in range(count):
+            if j != i:
+                lw += math.log2(abs(xs[j])) - math.log2(abs(xs[j] - xs[i]))
+        worst = max(worst, lw)
+    return max(0, int(worst) + count.bit_length() + 4)
+
+
+def test_node_condition_bits_never_fall_below_the_old_estimate():
+    counts = [*range(2, 34), 63, 64, 65, 127, 128, 129, 255, 256, 257, 512]
+    for n0 in range(1, 9):
+        for count in counts:
+            new = accel._node_condition_bits(n0, count)
+            old = _old_node_condition_bits(n0, count)
+            assert old <= new <= old + 2, (n0, count, old, new)
+
+
 # ---------------------------------------------------------------------------
 # dispatcher
 
@@ -280,6 +369,23 @@ def test_estimate_limit_richardson_product_sequence():
     truth = 7 * mp.zeta(3) / (4 * mp.pi**2) + mp.mpf(1) / 4
     assert abs(as_mpf(est.value) - truth) < mp.mpf(10) ** -42
     assert est.terms_used <= 130
+
+
+def test_estimate_limit_starts_richardson_at_the_budget_the_target_needs(monkeypatch):
+    budgets = []
+    real = accel.richardson_limit
+
+    def counting(seq, p, max_terms, order):
+        budgets.append(max_terms)
+        return real(seq, p, max_terms, order)
+
+    monkeypatch.setattr(accel, "richardson_limit", counting)
+    est = estimate_limit(product_log_seq("KT3"), RICHARDSON, 100, nk.bits_for_digits(100))
+    assert budgets == [128]  # no 64-node round thrown away
+    assert est.terms_used == 128
+    firsts = [accel._first_budget(RICHARDSON, d) for d in (30, 56, 57, 100, 114, 115)]
+    assert firsts == [64, 64, 128, 128, 128, 256]
+    assert accel._first_budget(WYNN, 100) == 64
 
 
 def test_estimate_limit_wynn_refuses_30_digits_on_log_type_sequence():

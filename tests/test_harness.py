@@ -90,6 +90,20 @@ def test_parse_registry_unknown_and_duplicate_keys():
         hz.parse_registry("id = A\nid = B\n")
 
 
+def test_parse_registry_error_messages_name_the_line():
+    cases = [
+        ("# c\nid = A\nlhs = x\nrhs = y\n\njust words\n",
+         "registry line 6 is not 'key = value': 'just words'"),
+        ("\n\nid = B\ncolor = red\n", "registry line 4: unknown key 'color'"),
+        ("id = A\nlhs = x\nid = B\n", "registry line 3: duplicate key 'id'"),
+        ('id = A\nrhs = "pi"\n', "registry record is missing lhs: {'id': 'A', 'rhs': 'pi'}"),
+    ]
+    for text, message in cases:
+        with pytest.raises(SpecError) as info:
+            hz.parse_registry(text)
+        assert str(info.value) == message
+
+
 def test_registry_rejects_duplicate_ids():
     text = "id = A\nlhs = product KT1\nrhs = pi\n\nid = A\nlhs = product KT2\nrhs = pi\n"
     with pytest.raises(SpecError, match="duplicate registry id 'A'"):

@@ -14,9 +14,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from altprod import accel
 from altprod import numkernel as nk
 from altprod import products as pr
-from altprod.numkernel import DomainError, OracleRangeError, SpecError
+from altprod.accel import RAW
+from altprod.numkernel import DomainError, NonConvergenceError, OracleRangeError, SpecError
 
 mp.mp.dps = 80
 
@@ -48,6 +50,19 @@ def test_parse_rejects_unknown_duplicate_and_malformed_fields():
         pr.parse_product_spec(base + "\nfactor = k")
     with pytest.raises(SpecError, match="key = value"):
         pr.parse_product_spec("name x\nfactor = k\nexponent = k\nupper = n")
+
+
+def test_parse_error_messages_name_the_field():
+    base = "name = x\nfactor = k/(k+1)\nexponent = k\nupper = 2*n"
+    cases = [
+        (base + "\ncolor = red", "unknown product field 'color'"),
+        (base + "\n\nfactor = k", "duplicate product field 'factor'"),
+        ("# spec\nname x", "expected 'key = value', got 'name x'"),
+    ]
+    for text, message in cases:
+        with pytest.raises(SpecError) as info:
+            pr.parse_product_spec(text)
+        assert str(info.value) == message
 
 
 def test_parse_rejects_bad_bridge_shape():
@@ -372,6 +387,51 @@ def test_session_restarts_when_the_truncation_map_goes_backward():
     session.log_partial(8, 160)
     again = session.log_partial(2, 160)
     assert again.raw == pr.log_partial(spec, 2, 160).raw
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["KT3", "GS53R"])
+def test_one_limit_is_one_extrapolation_over_one_factor_walk(monkeypatch, name):
+    spec = pr.builtin(name)
+    rounds = _count_calls(monkeypatch, accel, "richardson_limit")
+    logs = _count_calls(monkeypatch, nk, "ln_rational")
+    est = pr.limit(spec, nk.bits_for_digits(100), 100)
+    assert len(rounds) == 1
+    n0, J = 1, est.terms_used - 1
+    factors = spec.upper_index(n0 + J) - spec.k_start + 1
+    bridge_logs = J + 1 if spec.bridge(n0) is not None else 0
+    assert len(logs) <= factors + bridge_logs
+
+
+def test_raw_limit_walks_the_factors_once(monkeypatch):
+    spec = pr.builtin("MELZAK")
+    logs = _count_calls(monkeypatch, nk, "ln_rational")
+    with pytest.raises(NonConvergenceError):
+        pr.limit(spec, nk.bits_for_digits(30), 30, method=RAW, max_terms_cap=512)
+    assert len(logs) == spec.upper_index(512) - spec.k_start + 1
+
+
+def test_a_divergent_limit_stops_after_two_rounds(monkeypatch):
+    # log partials grow like ln(n)/2: every doubling halves Richardson's
+    # error estimate, far too slowly to reach 40 digits by the term cap
+    spec = pr.parse_product_spec("name = div\nfactor = k+1\nexponent = (-1)^k\nupper = 2*n")
+    rounds = _count_calls(monkeypatch, accel, "richardson_limit")
+    with pytest.raises(NonConvergenceError, match="out of reach") as info:
+        pr.limit(spec, 200, 40)
+    assert len(rounds) <= 2
+    assert info.value.best is not None
+    assert info.value.best.terms_used <= 128
 
 
 @settings(deadline=None, max_examples=60)
