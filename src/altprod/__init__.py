@@ -7,8 +7,8 @@ Subpackage map:
 - ``zetagamma``   log-gamma, Hurwitz zeta and its s-derivative, Barnes G,
   Gauss-style limits of gamma-ratio products
 - ``constants``   named constants, each with two independent routes
-- ``accel``       sequence-limit machinery (Euler transform, Wynn epsilon,
-  Richardson extrapolation, adaptive driver)
+- ``accel``       sequence-limit machinery (CRVZ alternating sums, Euler
+  transform, Wynn epsilon, Richardson extrapolation, adaptive driver)
 - ``products``    alternating-product records: exact partials, log-partials,
   bridge factors, accelerated limits, (de)serialization
 - ``eulerfuncs``  product-defined special functions (ratio-limit function D,

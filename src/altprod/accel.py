@@ -4,8 +4,11 @@ The log partial products handled by this package converge with O(1/n)
 error, far too slowly to read digits off directly.  This module turns such
 sequences into accelerated limit estimates with empirical error estimates:
 
-- ``euler_transform_sum``  for alternating series with a smooth term
-  envelope (binary-averaged form of the classical transform),
+- ``alternating_sum``      for alternating series with decreasing terms:
+  Cohen, Rodriguez Villegas and Zagier's Algorithm 1, a fixed-length sum
+  with exact integer weights (about 2.54 bits per term),
+- ``euler_transform_sum``  the binary-averaged Euler transform, which also
+  sums series with growing terms in the Abel sense,
 - ``wynn_epsilon_limit``   the epsilon algorithm on partial sums,
 - ``richardson_limit``     polynomial extrapolation in 1/n, an exact dot
   product of the samples with closed-form Lagrange weights,
@@ -40,6 +43,7 @@ __all__ = [
     "METHODS",
     "SequenceGen",
     "LimitEstimate",
+    "alternating_sum",
     "euler_transform_sum",
     "wynn_epsilon_limit",
     "richardson_limit",
@@ -119,6 +123,19 @@ def _all_equal_shortcut(values, method: str, terms_used: int) -> Optional[LimitE
     return None
 
 
+def _dyadic_scaled(num: int, den: int, e: int) -> Fraction:
+    """num * 2^e / den, exactly."""
+    return Fraction(num << e, den) if e >= 0 else Fraction(num, den << -e)
+
+
+def _common_mantissas(values) -> tuple:
+    """(mans, e) with values[i] = mans[i] * 2^e exactly: each value's
+    mantissa scaled to the smallest exponent, so dot products stay exact."""
+    raws = [x.raw for x in values]
+    e = min((exp for _, man, exp, _ in raws if man), default=0)
+    return [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in raws], e
+
+
 # -- Euler transform -----------------------------------------------------------
 
 
@@ -127,7 +144,11 @@ def euler_transform_sum(terms: SequenceGen, p: int, max_terms: int) -> LimitEsti
 
     Partial transforms are the averaged-diagonal values sum_{j<=m} D^j b /
     2^(j+1); iteration stops when two successive ones agree to the requested
-    precision.
+    precision.  It costs O(m^2) adds for about one bit per term, so series
+    with decreasing terms go through ``alternating_sum`` instead.  It stays
+    as the ``EULER`` method of ``estimate_limit`` and for terms that grow,
+    such as the Lerch series at s <= 0, whose Abel mean it evaluates where
+    ``alternating_sum``'s hypothesis (a moment sequence) fails.
     """
     if terms.kind != ALTERNATING_TERMS:
         raise SpecError("euler_transform_sum needs an ALTERNATING_TERMS sequence")
@@ -171,6 +192,77 @@ def euler_transform_sum(terms: SequenceGen, p: int, max_terms: int) -> LimitEsti
     raise NonConvergenceError(
         f"Euler transform did not stabilize within {max_terms} terms", best=best
     )
+
+
+# -- Cohen-Rodriguez Villegas-Zagier -------------------------------------------
+
+# log2(3 + sqrt(8)): the bits each term of CRVZ's Algorithm 1 gains
+_CRVZ_BITS_PER_TERM = math.log2(3 + math.sqrt(8))
+_CRVZ_GUARD_BITS = 16
+
+
+def _crvz_weights(n: int):
+    """(d, [c_0 .. c_{n-1}]) of CRVZ's Algorithm 1, all exact integers.
+
+    d = T_n(3) = ((3+sqrt 8)^n + (3-sqrt 8)^n)/2 comes from t_{k+1} = 6 t_k -
+    t_{k-1}; with b_0 = -1 and c_{-1} = -d, c_k = b_k - c_{k-1} and b_{k+1} =
+    2 (k+n)(k-n) b_k / ((2k+1)(k+1)), the coefficients of T_n(1-2x), which
+    stay integral.  sum (-1)^k a_k is then about sum c_k a_k / d.
+    """
+    t_prev, d = 3, 1  # T_{-1}(3) = T_1(3) = 3, T_0(3) = 1
+    for _ in range(n):
+        t_prev, d = d, 6 * d - t_prev
+    b, c = -1, -d
+    cs = []
+    for k in range(n):
+        c = b - c
+        cs.append(c)
+        b = 2 * (k + n) * (k - n) * b // ((2 * k + 1) * (k + 1))
+    return d, cs
+
+
+def alternating_sum(terms: SequenceGen, p: int) -> LimitEstimate:
+    """Sum of sum_{k>=n0} (-1)^(k-n0) b_k for decreasing b_k by Cohen,
+    Rodriguez Villegas and Zagier, "Convergence acceleration of alternating
+    series", Experimental Math. 9 (2000), Algorithm 1.
+
+    For a moment sequence b_k = int x^k dmu(x) with mu >= 0 on [0, 1] the
+    error of the n-term sum is below 2 |S| / (3+sqrt 8)^n, so n follows from
+    p and every term is evaluated once.  Both the n-term sum and the sum over
+    the first n - 1 terms are exact dot products of the integer weights with
+    the terms' dyadic mantissas, rounded once; their difference is the error
+    estimate.  Unless it falls below 2^-(p+2) * max(|S|, 1) the sum raises
+    ``NonConvergenceError`` carrying the n-term value.  Terms that grow, where
+    the hypothesis fails, make the two sums disagree: for b_k = x^k the error
+    is T_n(1-2x) / ((1+x) T_n(3)), which for x >= 2 does not shrink and flips
+    sign with n.
+    """
+    if terms.kind != ALTERNATING_TERMS:
+        raise SpecError("alternating_sum needs an ALTERNATING_TERMS sequence")
+    n = math.ceil((p + _CRVZ_GUARD_BITS) / _CRVZ_BITS_PER_TERM)
+    # each weight c_k / d lies in (-1, 1): n rounded terms lose bitlen(n) bits
+    wp = p + _CRVZ_GUARD_BITS + n.bit_length() + _probe_scale_bits(terms)
+    mans, e = _common_mantissas(terms.term_at(terms.n0 + k, wp) for k in range(n))
+
+    def dot(m: int) -> Fraction:
+        d, cs = _crvz_weights(m)
+        return _dyadic_scaled(sum(c * a for c, a in zip(cs, mans)), d, e)
+
+    full = dot(n)
+    err = abs(full - dot(n - 1))
+    est = LimitEstimate(
+        value=to_real(full, p),
+        error_estimate=to_real(err, p),
+        terms_used=terms.n0 + n - 1,
+        method=EULER,
+    )
+    if err >= Fraction(max(abs(full), 1)) / 2 ** (p + 2):
+        raise NonConvergenceError(
+            f"alternating sum over {n} and {n - 1} terms disagree"
+            f" by more than 2^-{p + 2}",
+            best=est,
+        )
+    return est
 
 
 # -- Wynn epsilon --------------------------------------------------------------
@@ -260,11 +352,6 @@ def _node_condition_bits(n0: int, count: int) -> int:
     return max(0, weight_bits + count.bit_length() + 4)
 
 
-def _dyadic_scaled(num: int, den: int, e: int) -> Fraction:
-    """num * 2^e / den, exactly."""
-    return Fraction(num << e, den) if e >= 0 else Fraction(num, den << -e)
-
-
 def richardson_limit(
     seq: SequenceGen, p: int, max_terms: int, order: int
 ) -> LimitEstimate:
@@ -293,11 +380,7 @@ def richardson_limit(
     if short := _all_equal_shortcut(t, RICHARDSON, n0 + J):
         return short
 
-    # each sample is (-1)^sign * man * 2^exp; scaled to the smallest exponent
-    # the samples become integers and both dot products stay exact
-    raws = [x.raw for x in t]
-    e = min(exp for _, man, exp, _ in raws if man)
-    mans = [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in raws]
+    mans, e = _common_mantissas(t)
     full = sum(w * a for w, a in zip(_lagrange_weights(n0, J), mans))
     lower = sum(w * a for w, a in zip(_lagrange_weights(n0, J - 1), mans))
     # the J-node value is lower / (J-1)! = J * lower / J!

@@ -10,12 +10,13 @@ Routes:
 - PI            Machin arctangent series in integer fixed point / AGM iteration
 - E             factorial Taylor series in integer fixed point / continued fraction
 - EULER_GAMMA   harmonic-sum Euler-Maclaurin at cut N / the same at cut 2N
-- CATALAN       binomial-sum series with an arctanh closed part / Euler transform
-                of the defining alternating series
-- ZETA3         binomial-sum alternating series / Euler transform of the
-                alternating unit-cube series
+- CATALAN       binomial-sum series with an arctanh closed part / the defining
+                alternating series summed by CRVZ (``accel.alternating_sum``)
+- ZETA3         binomial-sum alternating series / eta(3), the alternating
+                unit-cube series, summed by CRVZ
 - LN_GLAISHER   1/12 - zeta'(-1) via the zeta kernel / an independent identity
-                through zeta'(2), the harmonic constant, and ln(2 pi)
+                through zeta'(2), the harmonic constant, and ln(2 pi), with
+                eta'(2) summed by CRVZ
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ REGISTRY = {
     "PI": NamedConstant("PI", "machin-arctan-fixedpoint", "agm-iteration"),
     "E": NamedConstant("E", "taylor-fixedpoint", "continued-fraction"),
     "EULER_GAMMA": NamedConstant("EULER_GAMMA", "harmonic-em-cut-N", "harmonic-em-cut-2N"),
-    "CATALAN": NamedConstant("CATALAN", "binomial-arctanh-series", "euler-transformed-defining-series"),
-    "ZETA3": NamedConstant("ZETA3", "alternating-binomial-series", "euler-transformed-eta3"),
+    "CATALAN": NamedConstant("CATALAN", "binomial-arctanh-series", "crvz-summed-defining-series"),
+    "ZETA3": NamedConstant("ZETA3", "alternating-binomial-series", "crvz-summed-eta3"),
     "LN_GLAISHER": NamedConstant("LN_GLAISHER", "zeta-sderiv-at-minus-one", "zeta-sderiv-at-two-identity"),
 }
 
@@ -209,9 +210,9 @@ def _catalan_binomial(wp: int) -> Real:
     return out.at(wp)
 
 
-def _catalan_euler(wp: int) -> Real:
-    # defining series sum (-1)^n / (2n+1)^2 under the Euler transform
-    from .accel import ALTERNATING_TERMS, SequenceGen, euler_transform_sum
+def _catalan_crvz(wp: int) -> Real:
+    # defining series sum (-1)^n / (2n+1)^2
+    from .accel import ALTERNATING_TERMS, SequenceGen, alternating_sum
 
     w = wp + 8
     gen = SequenceGen(
@@ -219,8 +220,7 @@ def _catalan_euler(wp: int) -> Real:
         n0=0,
         kind=ALTERNATING_TERMS,
     )
-    est = euler_transform_sum(gen, w, max_terms=4 * w)
-    return est.value.at(wp)
+    return alternating_sum(gen, w).value.at(wp)
 
 
 # -- ZETA3 -------------------------------------------------------------------------
@@ -243,9 +243,9 @@ def _zeta3_binomial(wp: int) -> Real:
     return nk.mul(nk.ldexp(to_real(5, w), -1), acc, w).at(wp)
 
 
-def _zeta3_euler(wp: int) -> Real:
+def _zeta3_crvz(wp: int) -> Real:
     # zeta(3) = (4/3) eta(3), eta(3) = sum (-1)^(n-1)/n^3
-    from .accel import ALTERNATING_TERMS, SequenceGen, euler_transform_sum
+    from .accel import ALTERNATING_TERMS, SequenceGen, alternating_sum
 
     w = wp + 8
     gen = SequenceGen(
@@ -253,7 +253,7 @@ def _zeta3_euler(wp: int) -> Real:
         n0=1,
         kind=ALTERNATING_TERMS,
     )
-    est = euler_transform_sum(gen, w, max_terms=4 * w)
+    est = alternating_sum(gen, w)
     return nk.div(nk.ldexp(est.value, 2), to_real(3, w), w).at(wp)
 
 
@@ -272,7 +272,7 @@ def _ln_glaisher_zderiv(wp: int) -> Real:
 def _ln_glaisher_zeta2(wp: int) -> Real:
     # ln A = (gamma + ln(2 pi))/12 - zeta'(2)/(2 pi^2),
     # zeta'(2) = 2 eta'(2) - (ln 2) zeta(2), eta'(2) = sum (-1)^n ln(n)/n^2
-    from .accel import ALTERNATING_TERMS, SequenceGen, euler_transform_sum
+    from .accel import ALTERNATING_TERMS, SequenceGen, alternating_sum
 
     w = wp + 24
     gen = SequenceGen(
@@ -283,7 +283,7 @@ def _ln_glaisher_zeta2(wp: int) -> Real:
         n0=2,
         kind=ALTERNATING_TERMS,
     )
-    eta_d2 = euler_transform_sum(gen, w, max_terms=4 * w).value  # = eta'(2)
+    eta_d2 = alternating_sum(gen, w).value  # = eta'(2)
     pi = constant("PI", w)
     gam = constant("EULER_GAMMA", w)
     pi2 = nk.mul(pi, pi, w)
@@ -304,8 +304,8 @@ _ROUTES = {
         lambda wp: _gamma_harmonic_em(wp, 0),
         lambda wp: _gamma_harmonic_em(wp, 1),
     ),
-    "CATALAN": (_catalan_binomial, _catalan_euler),
-    "ZETA3": (_zeta3_binomial, _zeta3_euler),
+    "CATALAN": (_catalan_binomial, _catalan_crvz),
+    "ZETA3": (_zeta3_binomial, _zeta3_crvz),
     "LN_GLAISHER": (_ln_glaisher_zderiv, _ln_glaisher_zeta2),
 }
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import numkernel as nk
 from . import products
 from . import zetagamma as zg
-from .accel import ALTERNATING_TERMS, SequenceGen, euler_transform_sum
+from .accel import ALTERNATING_TERMS, SequenceGen, alternating_sum, euler_transform_sum
 from .numkernel import DomainError, NonConvergenceError, Real, SpecError
 from .zetagamma import HurwitzQuery, _as_fraction
 
@@ -76,13 +76,10 @@ def _alpha_coeff(alpha: Fraction, n: int, wp: int) -> Real:
     return nk.sub(nk.to_real(q, w), nk.ln_rational(1 + q, w), w)
 
 
-def _euler_alternating_sum(coeff_at, n0: int, wp: int, stop_bits: int) -> Real:
-    """sum of (-1)^(n-n0) coeff(n) for n >= n0 by the Euler transform."""
-    gen = SequenceGen(
-        term_at=lambda n, q: coeff_at(n, q), n0=n0, kind=ALTERNATING_TERMS
-    )
-    est = euler_transform_sum(gen, stop_bits, max_terms=2 * stop_bits + 160)
-    return est.value.at(wp)
+def _alternating_series_sum(coeff_at, n0: int, wp: int, stop_bits: int) -> Real:
+    """sum of (-1)^(n-n0) coeff(n) for n >= n0, for decreasing coefficients."""
+    gen = SequenceGen(term_at=coeff_at, n0=n0, kind=ALTERNATING_TERMS)
+    return alternating_sum(gen, stop_bits).value.at(wp)
 
 
 def _directed_check(coeff_at, n0: int, wp: int, total: Real, terms: int = 1024):
@@ -149,7 +146,7 @@ def gamma_param(alpha, z, p: int, target_digits: int) -> Real:
     wp = max(p, stop_bits) + 32
     coeff = lambda n, w: _alpha_coeff(af, n, w)
     if zf == -1:
-        total = _euler_alternating_sum(coeff, 1, wp, stop_bits)
+        total = _alternating_series_sum(coeff, 1, wp, stop_bits)
         _directed_check(coeff, 1, wp, total)
         return total.at(p)
     value = _direct_power_sum(coeff, 1, zf, lambda n: 1, wp, stop_bits, "gamma_param")
@@ -174,7 +171,7 @@ def gamma_param_deriv(alpha, z, p: int, target_digits: int) -> Real:
         return nk.mul(_alpha_coeff(af, n, w), nk.to_real(n - 1, w), w)
 
     if zf == -1:
-        total = _euler_alternating_sum(weighted, 2, wp, stop_bits)
+        total = _alternating_series_sum(weighted, 2, wp, stop_bits)
         _directed_check(weighted, 2, wp, total, terms=2048)
         return total.at(p)
     value = _direct_power_sum(
@@ -198,7 +195,7 @@ def gamma_ab(a, b, z, p: int, target_digits: int) -> Real:
     wp = max(p, stop_bits) + 32
     coeff = lambda n, w: _series_coeff(af * n + bf, w)
     if zf == -1:
-        total = _euler_alternating_sum(coeff, 0, wp, stop_bits)
+        total = _alternating_series_sum(coeff, 0, wp, stop_bits)
         _directed_check(coeff, 0, wp, total)
         return total.at(p)
     value = _direct_power_sum(coeff, 0, zf, lambda n: 1, wp, stop_bits, "gamma_ab")

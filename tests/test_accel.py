@@ -1,6 +1,6 @@
-"""Checks for the sequence-limit machinery: the Euler transform for
-alternating series, the epsilon algorithm and polynomial extrapolation for
-partial-sum sequences, and the escalating dispatcher.
+"""Checks for the sequence-limit machinery: the CRVZ sum and the Euler
+transform for alternating series, the epsilon algorithm and polynomial
+extrapolation for partial-sum sequences, and the escalating dispatcher.
 
 Alongside the classical convergent cases, this file pins the machinery's
 honest failure modes on logarithmically converging product sequences: the
@@ -30,6 +30,7 @@ from altprod.accel import (
     WYNN,
     LimitEstimate,
     SequenceGen,
+    alternating_sum,
     estimate_limit,
     euler_transform_sum,
     richardson_limit,
@@ -82,6 +83,8 @@ def test_methods_demand_matching_kind():
     )
     with pytest.raises(SpecError):
         euler_transform_sum(sums, 64, 16)
+    with pytest.raises(SpecError):
+        alternating_sum(sums, 64)
     with pytest.raises(SpecError):
         wynn_epsilon_limit(terms, 64, 16)
     with pytest.raises(SpecError):
@@ -150,6 +153,105 @@ def test_euler_non_convergence_carries_best_estimate():
     best = info.value.best
     assert best is not None
     assert abs(as_mpf(best.value) - mp.log(2)) < mp.mpf(10) ** -3
+
+
+# ---------------------------------------------------------------------------
+# Cohen-Rodriguez Villegas-Zagier alternating sum
+
+
+def test_crvz_weights_are_the_exact_integer_recurrence():
+    for n in (1, 2, 3, 7, 40, 101):
+        d, cs = accel._crvz_weights(n)
+        # T_n(3) is the rational part of (3 + 2 sqrt 2)^n
+        a, b = 1, 0
+        for _ in range(n):
+            a, b = 3 * a + 4 * b, 2 * a + 3 * b
+        assert d == a
+        # the published recurrence in rational arithmetic stays integral
+        bk, ck = Fraction(-1), Fraction(-d)
+        assert len(cs) == n
+        for k in range(n):
+            ck = bk - ck
+            assert ck.denominator == 1 and cs[k] == ck
+            assert abs(cs[k]) < d
+            bk = (k + n) * (k - n) * bk / ((k + Fraction(1, 2)) * (k + 1))
+
+
+class _CountingTerms:
+    """term_at for b_k = f(k) that records every index asked for."""
+
+    def __init__(self, f):
+        self.f = f
+        self.indices = set()
+
+    def __call__(self, k, p):
+        self.indices.add(k)
+        return nk.to_real(self.f(k), p)
+
+
+_ALTERNATING_CASES = {
+    "ln2": (lambda k: Fraction(1, k + 1), lambda: mp.log(2)),
+    "catalan": (lambda k: Fraction(1, (2 * k + 1) ** 2), lambda: mp.catalan),
+    "eta3": (lambda k: Fraction(1, (k + 1) ** 3), lambda: 3 * mp.zeta(3) / 4),
+}
+
+
+@pytest.mark.parametrize("p", [128, 600, 1100])
+@pytest.mark.parametrize("name", sorted(_ALTERNATING_CASES))
+def test_alternating_sum_matches_mpmath_with_linear_term_count(name, p):
+    f, truth = _ALTERNATING_CASES[name]
+    term_at = _CountingTerms(f)
+    est = alternating_sum(SequenceGen(term_at=term_at, n0=0, kind=ALTERNATING_TERMS), p)
+    assert len(term_at.indices) <= math.ceil(p / 2.5) + 8
+    assert est.terms_used == max(term_at.indices)
+    with mp.workprec(p + 64):
+        assert abs(as_mpf(est.value) - truth()) < mp.mpf(2) ** (1 - p)
+        assert as_mpf(est.error_estimate) < mp.mpf(2) ** -(p + 2)
+
+
+@pytest.mark.parametrize("p", [64, 128, 333])
+def test_alternating_sum_agrees_bit_for_bit_with_euler_on_alternating_harmonic(p):
+    terms = SequenceGen(
+        term_at=lambda k, q: nk.to_real(Fraction(1, k), q), n0=1, kind=ALTERNATING_TERMS
+    )
+    assert alternating_sum(terms, p).value.raw == euler_transform_sum(terms, p, 4 * p).value.raw
+
+
+def test_alternating_sum_zero_terms_give_zero():
+    terms = SequenceGen(
+        term_at=lambda k, p: nk.to_real(0, p), n0=1, kind=ALTERNATING_TERMS
+    )
+    est = alternating_sum(terms, 128)
+    assert est.value.is_zero()
+    assert est.error_estimate.is_zero()
+
+
+def test_alternating_sum_refuses_growing_terms():
+    # sum (-2)^k has the Abel mean 1/3, but the weighted sums sit at 0 and
+    # 2/3 by the parity of the term count and never converge
+    terms = SequenceGen(
+        term_at=lambda k, p: nk.to_real(2**k, p), n0=0, kind=ALTERNATING_TERMS
+    )
+    with pytest.raises(NonConvergenceError) as info:
+        alternating_sum(terms, 128)
+    assert info.value.best is not None
+    assert as_mpf(info.value.best.error_estimate) > mp.mpf("0.5")
+
+
+def test_alternating_sum_eta_prime_2_from_n_2():
+    # sum_{n>=2} (-1)^n ln(n)/n^2 = eta'(2); from n = 2 the sequence is not
+    # completely monotone (its fourth forward difference is negative), so it
+    # is no moment sequence, yet the LN_GLAISHER check route sums it
+    terms = SequenceGen(
+        term_at=lambda n, q: nk.div(nk.ln_rational(n, q), nk.to_real(n * n, q), q),
+        n0=2,
+        kind=ALTERNATING_TERMS,
+    )
+    p = 600
+    est = alternating_sum(terms, p)
+    with mp.workprec(p + 64):
+        truth = mp.pi**2 / 12 * (mp.euler + mp.log(4 * mp.pi) - 12 * mp.log(mp.glaisher))
+        assert abs(as_mpf(est.value) - truth) < mp.mpf(2) ** (1 - p)
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,14 @@ from altprod.numkernel import NonConvergenceError, SpecError
 
 mp.mp.dps = 160
 
+# each evaluated at the working precision of the caller
 ORACLE = {
-    "PI": mp.pi,
-    "E": mp.e,
-    "EULER_GAMMA": mp.euler,
-    "CATALAN": mp.catalan,
-    "ZETA3": mp.zeta(3),
-    "LN_GLAISHER": mp.log(mp.glaisher),
+    "PI": lambda: +mp.pi,
+    "E": lambda: +mp.e,
+    "EULER_GAMMA": lambda: +mp.euler,
+    "CATALAN": lambda: +mp.catalan,
+    "ZETA3": lambda: mp.zeta(3),
+    "LN_GLAISHER": lambda: mp.log(mp.glaisher),
 }
 
 
@@ -60,8 +61,24 @@ def test_routes_agree_to_target_digits(cid, digits):
 @pytest.mark.parametrize("cid", sorted(ORACLE))
 def test_released_value_matches_oracle(cid):
     p = nk.bits_for_digits(120)
-    err = abs(as_mpf(constant(cid, p)) - ORACLE[cid])
-    assert err <= mp.mpf(2) ** (nk.GUARD_BITS - p) * max(mp.mpf(1), abs(ORACLE[cid]))
+    truth = ORACLE[cid]()
+    err = abs(as_mpf(constant(cid, p)) - truth)
+    assert err <= mp.mpf(2) ** (nk.GUARD_BITS - p) * max(mp.mpf(1), abs(truth))
+
+
+def _mp_truncated(x, digits):
+    """``digits`` significant digits of x > 0, truncated toward zero."""
+    with mp.workdps(digits + 30):
+        e = int(mp.floor(mp.log10(x)))
+        s = str(int(mp.floor(x * mp.mpf(10) ** (digits - 1 - e))))
+    return s[: e + 1] + "." + s[e + 1 :] if e >= 0 else "0." + "0" * (-e - 1) + s
+
+
+def test_every_constant_releases_300_digits_matching_mpmath():
+    for cid in CONSTANT_IDS:
+        with mp.workdps(340):
+            want = _mp_truncated(ORACLE[cid](), 300)
+        assert decimal_digits(cid, 300) == want, cid
 
 
 def test_known_leading_digits():
