@@ -2,15 +2,14 @@
 
 Subpackage map:
 
-- ``numkernel``   arbitrary-precision substrate (Real, precision policy,
+- ``numkernel``   arbitrary-precision substrate (Real, digits-to-bits sizing,
   agreement metric, truncating decimal rendering)
-- ``zetagamma``   log-gamma, Hurwitz zeta and its s-derivative, Barnes G,
-  Gauss-style limits of gamma-ratio products
+- ``zetagamma``   log-gamma, Hurwitz zeta and its s-derivative, Barnes G
 - ``constants``   named constants, each with two independent routes
 - ``accel``       sequence-limit machinery (CRVZ alternating sums, Euler
   transform, Wynn epsilon, Richardson extrapolation, adaptive driver)
 - ``products``    alternating-product records: exact partials, log-partials,
-  bridge factors, accelerated limits, (de)serialization
+  bridge factors, accelerated limits, key-value spec parsing
 - ``eulerfuncs``  product-defined special functions (ratio-limit function D,
   even/odd split E, generalized little-gamma constants, Dirichlet-style
   s-derivative values)
@@ -38,7 +37,6 @@ from .numkernel import (
     DomainError,
     NonConvergenceError,
     OracleRangeError,
-    PrecisionPolicy,
     Real,
     SpecError,
     agreement_digits,
@@ -61,7 +59,6 @@ __all__ = [
     "NonConvergenceError",
     "OracleRangeError",
     "ParseDiagnostic",
-    "PrecisionPolicy",
     "Real",
     "Registry",
     "SpecError",

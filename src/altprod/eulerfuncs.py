@@ -76,12 +76,6 @@ def _alpha_coeff(alpha: Fraction, n: int, wp: int) -> Real:
     return nk.sub(nk.to_real(q, w), nk.ln_rational(1 + q, w), w)
 
 
-def _alternating_series_sum(coeff_at, n0: int, wp: int, stop_bits: int) -> Real:
-    """sum of (-1)^(n-n0) coeff(n) for n >= n0, for decreasing coefficients."""
-    gen = SequenceGen(term_at=coeff_at, n0=n0, kind=ALTERNATING_TERMS)
-    return alternating_sum(gen, stop_bits).value.at(wp)
-
-
 def _directed_check(coeff_at, n0: int, wp: int, total: Real, terms: int = 1024):
     """Free consistency check at z = -1: a paired direct partial sum must sit
     within the first omitted coefficient of the accelerated total."""
@@ -131,75 +125,67 @@ def _direct_power_sum(coeff_at, n0: int, z: Fraction, weight, wp: int,
             raise NonConvergenceError(f"{what}: series did not meet the tail bound")
 
 
-def gamma_param(alpha, z, p: int, target_digits: int) -> Real:
-    """sum_{n>=1} z^(n-1) (alpha/n - ln(1+alpha/n)) for alpha > -1, z in [-1, 1)."""
+def _z_series(what: str, z, p: int, target_digits: int, n0: int, coeff_at,
+              weight=None, check_terms: int = 1024) -> Real:
+    """sum_{n>=n0} weight(n) z^(n-n0) coeff(n) for z in [-1, 1) and decreasing
+    coefficients; a missing weight is 1, a missing coeff_at the zero series.
+
+    At z = -1 the weighted terms are CRVZ-summed and the total must pass the
+    directed check; inside (-1, 1) the series is summed directly to its
+    geometric tail bound.
+    """
     _check_target(target_digits)
-    af = _as_fraction(alpha, "alpha")
     zf = _as_fraction(z, "z")
-    if af <= -1:
-        raise DomainError("gamma_param needs alpha > -1")
     if not -1 <= zf < 1:
-        raise DomainError("gamma_param needs z in [-1, 1)")
-    if af == 0:
+        raise DomainError(f"{what} needs z in [-1, 1)")
+    if coeff_at is None:
         return nk.to_real(0, p)
     stop_bits = nk.bits_for_digits(target_digits, guard=16)
     wp = max(p, stop_bits) + 32
-    coeff = lambda n, w: _alpha_coeff(af, n, w)
     if zf == -1:
-        total = _alternating_series_sum(coeff, 1, wp, stop_bits)
-        _directed_check(coeff, 1, wp, total)
+        if weight is None:
+            term_at = coeff_at
+        else:
+            def term_at(n, w):
+                return nk.mul(coeff_at(n, w), nk.to_real(weight(n), w), w)
+        gen = SequenceGen(term_at=term_at, n0=n0, kind=ALTERNATING_TERMS)
+        total = alternating_sum(gen, stop_bits).value.at(wp)
+        _directed_check(term_at, n0, wp, total, terms=check_terms)
         return total.at(p)
-    value = _direct_power_sum(coeff, 1, zf, lambda n: 1, wp, stop_bits, "gamma_param")
+    value = _direct_power_sum(coeff_at, n0, zf, weight or (lambda n: 1), wp,
+                              stop_bits, what)
     return value.at(p)
+
+
+def gamma_param(alpha, z, p: int, target_digits: int) -> Real:
+    """sum_{n>=1} z^(n-1) (alpha/n - ln(1+alpha/n)) for alpha > -1, z in [-1, 1)."""
+    af = _as_fraction(alpha, "alpha")
+    if af <= -1:
+        raise DomainError("gamma_param needs alpha > -1")
+    coeff = (lambda n, w: _alpha_coeff(af, n, w)) if af else None
+    return _z_series("gamma_param", z, p, target_digits, 1, coeff)
 
 
 def gamma_param_deriv(alpha, z, p: int, target_digits: int) -> Real:
     """d/dz of gamma_param: sum_{n>=2} (n-1) z^(n-2) (alpha/n - ln(1+alpha/n))."""
-    _check_target(target_digits)
     af = _as_fraction(alpha, "alpha")
-    zf = _as_fraction(z, "z")
     if af <= -1:
         raise DomainError("gamma_param_deriv needs alpha > -1")
-    if not -1 <= zf < 1:
-        raise DomainError("gamma_param_deriv needs z in [-1, 1)")
-    if af == 0:
-        return nk.to_real(0, p)
-    stop_bits = nk.bits_for_digits(target_digits, guard=16)
-    wp = max(p, stop_bits) + 32
-
-    def weighted(n, w):
-        return nk.mul(_alpha_coeff(af, n, w), nk.to_real(n - 1, w), w)
-
-    if zf == -1:
-        total = _alternating_series_sum(weighted, 2, wp, stop_bits)
-        _directed_check(weighted, 2, wp, total, terms=2048)
-        return total.at(p)
-    value = _direct_power_sum(
-        lambda n, w: _alpha_coeff(af, n, w), 2, zf, lambda n: n - 1, wp,
-        stop_bits, "gamma_param_deriv",
-    )
-    return value.at(p)
+    coeff = (lambda n, w: _alpha_coeff(af, n, w)) if af else None
+    # the weighted terms decay like 1/n, a power slower than the coefficients;
+    # twice the pairs keep the check's window, the first omitted term, narrow
+    return _z_series("gamma_param_deriv", z, p, target_digits, 2, coeff,
+                     weight=lambda n: n - 1, check_terms=2048)
 
 
 def gamma_ab(a, b, z, p: int, target_digits: int) -> Real:
     """sum_{n>=0} (1/(an+b) - ln((an+b+1)/(an+b))) z^n for a, b > 0."""
-    _check_target(target_digits)
     af = _as_fraction(a, "a")
     bf = _as_fraction(b, "b")
-    zf = _as_fraction(z, "z")
     if af <= 0 or bf <= 0:
         raise DomainError("gamma_ab needs a > 0 and b > 0")
-    if not -1 <= zf < 1:
-        raise DomainError("gamma_ab needs z in [-1, 1)")
-    stop_bits = nk.bits_for_digits(target_digits, guard=16)
-    wp = max(p, stop_bits) + 32
-    coeff = lambda n, w: _series_coeff(af * n + bf, w)
-    if zf == -1:
-        total = _alternating_series_sum(coeff, 0, wp, stop_bits)
-        _directed_check(coeff, 0, wp, total)
-        return total.at(p)
-    value = _direct_power_sum(coeff, 0, zf, lambda n: 1, wp, stop_bits, "gamma_ab")
-    return value.at(p)
+    return _z_series("gamma_ab", z, p, target_digits, 0,
+                     lambda n, w: _series_coeff(af * n + bf, w))
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,13 @@ def parse_registry(text: str) -> Tuple[IdentityRecord, ...]:
     return tuple(records)
 
 
+def _lhs_rational(token: str, text: str) -> Fraction:
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise SpecError(f"lhs {text!r}: {token!r} is not a rational number") from None
+
+
 def _parse_lhs(text: str):
     parts = text.split()
     if not parts:
@@ -134,7 +141,7 @@ def _parse_lhs(text: str):
         if len(parts) == 2:
             return ("product", pr.builtin(parts[1]))
         if len(parts) == 3:
-            return ("product", pr.builtin(parts[1], Fraction(parts[2])))
+            return ("product", pr.builtin(parts[1], _lhs_rational(parts[2], text)))
         raise SpecError(f"lhs 'product' takes a name and optional parameter: {text!r}")
     if kind == "dfunc":
         if len(parts) != 3:
@@ -142,11 +149,12 @@ def _parse_lhs(text: str):
         route = parts[1].upper()
         if route not in ef.D_ROUTES:
             raise SpecError(f"unknown dfunc route {parts[1]!r}")
-        return ("dfunc", route, Fraction(parts[2]))
+        return ("dfunc", route, _lhs_rational(parts[2], text))
     if kind == "lerch":
         if len(parts) != 3:
             raise SpecError(f"lhs 'lerch' takes s and u: {text!r}")
-        return ("lerch", ef.LerchDerivQuery(Fraction(parts[1]), Fraction(parts[2])))
+        s, u = (_lhs_rational(tok, text) for tok in parts[1:])
+        return ("lerch", ef.LerchDerivQuery(s, u))
     if kind == "csratio":
         if len(parts) != 1:
             raise SpecError(f"lhs 'csratio' takes no arguments: {text!r}")
@@ -228,7 +236,7 @@ def _eval_lhs(form, rec_method: str, p: int, target_digits: int,
         chosen = (method or rec_method).upper()
         if chosen not in METHODS:
             raise SpecError(f"unknown method {chosen!r} for a product record")
-        cap = max_terms or DEFAULT_MAX_TERMS
+        cap = DEFAULT_MAX_TERMS if max_terms is None else max_terms
         est = pr.limit(form[1], p, target_digits, method=chosen, max_terms_cap=cap)
         return est.value, est.terms_used, est.method
     if kind == "dfunc":
@@ -260,6 +268,8 @@ def verify(
     rec = reg.get(id)
     if target_digits < 1:
         raise SpecError("target_digits must be >= 1")
+    if max_terms is not None and (not isinstance(max_terms, int) or max_terms < 2):
+        raise SpecError(f"max_terms must be None or an integer >= 2, got {max_terms!r}")
     form = reg.lhs_form(id)
     rhs_tree = reg.rhs_tree(id)
     p = nk.bits_for_digits(target_digits)

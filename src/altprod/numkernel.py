@@ -16,7 +16,6 @@ rounded up, so a printed prefix is always a true prefix of the value).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -30,7 +29,6 @@ __all__ = [
     "SpecError",
     "OracleRangeError",
     "Real",
-    "PrecisionPolicy",
     "to_real",
     "ln_rational",
     "agreement_digits",
@@ -84,35 +82,6 @@ def bits_for_digits(digits: int, guard: int = 64) -> int:
 def digits_for_bits(bits: int) -> int:
     """Decimal digits reliably carried by a p-bit value."""
     return int(math.floor(bits * math.log10(2)))
-
-
-@dataclass(frozen=True)
-class PrecisionPolicy:
-    """Precision bookkeeping for a verification run.
-
-    working_bits must dominate the decimal target: the constructor enforces
-    working_bits >= ceil(target_digits * log2(10)) + guard_bits.
-    """
-
-    working_bits: int
-    guard_bits: int
-    target_digits: int
-
-    def __post_init__(self):
-        need = int(math.ceil(self.target_digits * math.log2(10))) + self.guard_bits
-        if self.working_bits < need:
-            raise SpecError(
-                f"working_bits={self.working_bits} below "
-                f"ceil({self.target_digits}*log2(10))+{self.guard_bits}={need}"
-            )
-
-    @classmethod
-    def for_digits(cls, target_digits: int, guard_bits: int = 64) -> "PrecisionPolicy":
-        return cls(
-            working_bits=int(math.ceil(target_digits * math.log2(10))) + guard_bits,
-            guard_bits=guard_bits,
-            target_digits=target_digits,
-        )
 
 
 class Real:
@@ -348,10 +317,6 @@ def pi_ref(p: int) -> Real:
     return Real(libmp.mpf_pi(p, _RND), p)
 
 
-def atan_real(a: Real, p: int) -> Real:
-    return Real(libmp.mpf_atan(a.raw, p, _RND), p)
-
-
 def ldexp(a: Real, k: int) -> Real:
     """a * 2**k, exact."""
     return Real(libmp.mpf_shift(a.raw, k), a.precision_bits)
@@ -399,6 +364,17 @@ def ln_rational(q: Rationalish, p: int) -> Real:
     return Real(libmp.mpf_log(x, wp, _RND), wp).at(p)
 
 
+def _floor_log10(v: Fraction) -> int:
+    """The decimal exponent e with 10**e <= v < 10**(e+1), for v > 0: a
+    float estimate settled by exact comparisons."""
+    e = math.floor(_log2_abs_fraction(v) * math.log10(2.0))
+    while Fraction(10) ** e > v:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= v:
+        e += 1
+    return e
+
+
 def agreement_digits(a: Real, b: Real) -> int:
     """floor(-log10(|a-b| / max(|a|,|b|))), or MAX_AGREEMENT when a = b.
 
@@ -414,24 +390,11 @@ def agreement_digits(a: Real, b: Real) -> int:
     denom = abs(a) if abs(a) >= abs(b) else abs(b)
     if denom.is_zero():
         return MAX_AGREEMENT
-    rel = div(diff, denom, 53)
-    # rel > 0 here; log10 via exact exponent arithmetic on the raw tuple
-    lg2 = _log2_abs_fraction(rel.to_fraction())
-    val = -lg2 * math.log10(2.0)
-    d = math.floor(val)
-    # float slop near integer boundaries: recheck exactly against 10**d
-    d = int(d)
-    for cand in (d + 1, d, d - 1):
-        # cand is the answer iff 10**-(cand+1) < rel <= 10**-cand
-        if cand >= 0:
-            hi_ok = rel.to_fraction() <= Fraction(1, 10**cand)
-            lo_ok = rel.to_fraction() > Fraction(1, 10 ** (cand + 1))
-        else:
-            hi_ok = rel.to_fraction() <= Fraction(10 ** (-cand), 1)
-            lo_ok = rel.to_fraction() > Fraction(10 ** (-cand - 1), 1) if cand + 1 <= 0 else False
-        if hi_ok and lo_ok:
-            return cand
-    return d
+    rel = div(diff, denom, 53).to_fraction()
+    # rel > 0; with 10**e <= rel < 10**(e+1), -log10(rel) is -e at the
+    # lower edge and lies strictly between -e-1 and -e above it
+    e = _floor_log10(rel)
+    return -e if rel == Fraction(10) ** e else -e - 1
 
 
 def truncated_decimal(x: Real, digits: int) -> str:
@@ -447,13 +410,7 @@ def truncated_decimal(x: Real, digits: int) -> str:
         return "0." + "0" * (digits - 1) if digits > 1 else "0"
     neg = v < 0
     v = -v if neg else v
-    # decimal exponent e: 10**e <= v < 10**(e+1)
-    e = math.floor(_log2_abs_fraction(v) * math.log10(2.0))
-    e = int(e)
-    while Fraction(10) ** e > v:
-        e -= 1
-    while Fraction(10) ** (e + 1) <= v:
-        e += 1
+    e = _floor_log10(v)
     # leading `digits` digits as an integer, truncated
     scaled = v * Fraction(10) ** (digits - 1 - e)
     n = int(scaled)  # floor for positive values

@@ -21,7 +21,7 @@ path.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from . import exprlang as ex
 from . import numkernel as nk
@@ -40,7 +40,6 @@ __all__ = [
     "BUILTIN_NAMES",
     "builtin",
     "parse_product_spec",
-    "serialize_product_spec",
     "partial_exact",
     "log_partial",
     "ProductEvalSession",
@@ -110,12 +109,11 @@ class BridgedProductSpec:
 
     The k-indexed fields (factor, exponent, e_exponent) and the n-indexed
     fields (upper_index, bridge) are exposed as evaluation methods over the
-    compiled expressions; `source` keeps the canonical text for serialization.
+    compiled expressions.
     """
 
     name: str
     k_start: int
-    source: Mapping[str, str]
     _factor: _Field = field(repr=False)
     _exponent: _Field = field(repr=False)
     _e_exponent: _Field = field(repr=False)
@@ -156,7 +154,7 @@ class BridgedProductSpec:
         return base, int(power), epower_f(n)
 
 
-# -- parsing and serialization ---------------------------------------------------
+# -- parsing -------------------------------------------------------------------
 
 # the largest sequence index probed when a spec is admitted or started
 _PROBE_N = 64
@@ -182,7 +180,10 @@ def parse_product_spec(text: str) -> BridgedProductSpec:
             raise SpecError(f"product description is missing {req!r}")
 
     name = fields["name"]
-    k_start = int(fields.get("k_start", "1"))
+    try:
+        k_start = int(fields.get("k_start", "1"))
+    except ValueError:
+        raise SpecError(f"k_start must be an integer, got {fields['k_start']!r}") from None
     if k_start < 0:
         raise SpecError("k_start must be >= 0")
     factor = _compile(fields["factor"], "k", what="factor")
@@ -199,16 +200,10 @@ def parse_product_spec(text: str) -> BridgedProductSpec:
             _compile(parts[1], "n", what="bridge power"),
             _compile(parts[2], "n", what="bridge e-power"),
         )
-        fields["bridge"] = " ; ".join(p.strip() for p in parts)
 
-    canon = {k: fields[k] for k in _SPEC_KEYS if k in fields}
-    canon.setdefault("e_exponent", "0")
-    canon.setdefault("k_start", "1")
-    canon["k_start"] = str(k_start)
     spec = BridgedProductSpec(
         name=name,
         k_start=k_start,
-        source=canon,
         _factor=factor,
         _exponent=exponent,
         _e_exponent=e_exponent,
@@ -225,10 +220,6 @@ def parse_product_spec(text: str) -> BridgedProductSpec:
                 f"{uppers[n]} after upper({n - 1}) = {uppers[n - 1]}"
             )
     return spec
-
-
-def serialize_product_spec(spec: BridgedProductSpec) -> str:
-    return "\n".join(f"{k} = {spec.source[k]}" for k in _SPEC_KEYS if k in spec.source)
 
 
 # -- built-in catalog ------------------------------------------------------------

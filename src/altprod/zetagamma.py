@@ -1,9 +1,9 @@
 """Special-function kernel.
 
-Log-gamma, Hurwitz zeta and its s-derivative, Barnes log-G, and limits of
-balanced gamma-ratio products.  Every routine takes an explicit precision
-``p`` (bits) and returns a :class:`~altprod.numkernel.Real` whose error is
-at most ``2**(GUARD_BITS - p) * max(1, |value|)``.
+Log-gamma, Hurwitz zeta and its s-derivative, and Barnes log-G.  Every
+routine takes an explicit precision ``p`` (bits) and returns a
+:class:`~altprod.numkernel.Real` whose error is at most
+``2**(GUARD_BITS - p) * max(1, |value|)``.
 
 Algorithms: Stirling's asymptotic series with argument raising for lnGamma;
 Euler-Maclaurin for zeta(s, a) and its s-derivative (one code path, the
@@ -19,23 +19,20 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Union
 
 from mpmath import bernfrac
 
 from . import numkernel as nk
 from .numkernel import (
-    GUARD_BITS,
     DomainError,
     NonConvergenceError,
     Real,
-    SpecError,
     to_real,
 )
 
 __all__ = [
     "HurwitzQuery",
-    "GaussProductSpec",
     "bernoulli_even",
     "ln_gamma",
     "hurwitz_zeta",
@@ -43,7 +40,6 @@ __all__ = [
     "zeta",
     "zeta_sderiv",
     "ln_barnesG",
-    "gauss_product_limit",
 ]
 
 RealIn = Union[int, Fraction, float, Real]
@@ -97,30 +93,6 @@ class HurwitzQuery:
             raise DomainError("HurwitzQuery needs a > 0")
         if self.s == 1:
             raise DomainError("s = 1 is the pole of zeta(s, a)")
-
-
-@dataclass(frozen=True)
-class GaussProductSpec:
-    """Shift lists for a balanced ratio product Prod_k Prod_i (k+a_i) / Prod_j (k+b_j).
-
-    The limit exists iff the shift sums balance exactly; construction
-    enforces that, and lengths need not match.
-    """
-
-    numer_shifts: Tuple[Fraction, ...]
-    denom_shifts: Tuple[Fraction, ...]
-
-    def __post_init__(self):
-        ns = tuple(_as_fraction(v, "numer shift") for v in self.numer_shifts)
-        ds = tuple(_as_fraction(v, "denom shift") for v in self.denom_shifts)
-        object.__setattr__(self, "numer_shifts", ns)
-        object.__setattr__(self, "denom_shifts", ds)
-        if any(v <= 0 for v in ns + ds):
-            raise DomainError("all shifts must be > 0")
-        if sum(ns) != sum(ds):
-            raise SpecError(
-                "shift sums differ; the ratio product has no finite nonzero limit"
-            )
 
 
 # -- lnGamma -----------------------------------------------------------------
@@ -402,18 +374,3 @@ def ln_barnesG(x: RealIn, p: int) -> Real:
     val = nk.add(_ln_barnes_taylor(t - 1, wp), shift_logs, wp)
     return val.at(p)
 
-
-# -- balanced gamma-ratio limits -------------------------------------------------
-
-
-def gauss_product_limit(spec: GaussProductSpec, p: int) -> Real:
-    """Limit of Prod_{k>=0} Prod_i (k+a_i) / Prod_j (k+b_j) = Prod Gamma(b) / Prod Gamma(a)."""
-    if sum(spec.numer_shifts) != sum(spec.denom_shifts):
-        raise SpecError("shift sums differ")
-    wp = p + 24 + 4 * (len(spec.numer_shifts) + len(spec.denom_shifts))
-    acc = to_real(0, wp)
-    for b in spec.denom_shifts:
-        acc = nk.add(acc, _ln_gamma_fraction(b, wp), wp)
-    for a in spec.numer_shifts:
-        acc = nk.sub(acc, _ln_gamma_fraction(a, wp), wp)
-    return nk.exp(acc, wp).at(p)

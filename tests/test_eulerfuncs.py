@@ -8,6 +8,7 @@ agrees both with an Euler-summed check series and, where the raw series
 converges, with a long direct partial sum.
 """
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -205,6 +206,60 @@ def test_gamma_series_at_z_zero_reduce_to_first_coefficient():
         nk.to_real(Fraction(3, 5), w), nk.ln_rational(Fraction(8, 5), w), w
     )
     assert nk.agreement_digits(vb, refb) >= 38
+
+
+# SHA-256 prefixes of each value's raw binary tuple, recorded before the
+# three series shared one summation path; a refactor of it must keep them
+SERIES_ALPHAS = (Fraction(1), Fraction(1, 2), Fraction(-1, 3), Fraction(5, 2))
+SERIES_AB = ((Fraction(1), Fraction(1)), (Fraction(7), Fraction(5, 3)), (Fraction(2), Fraction(1, 2)))
+SERIES_DIGESTS = {
+    ("gamma_param", 40, "-1"): ('cb453ef8e65f', 'a9dfc15fe9bd', 'e28f39dc90be', '1aedf38d73b9'),
+    ("gamma_param_deriv", 40, "-1"): ('f7dcdce5d122', 'f4c86f06e56c', 'e7848d1f54cb', '0c5b90a4943a'),
+    ("gamma_ab", 40, "-1"): ('cb453ef8e65f', '6242cb7f1f5d', '1dfe2fed535a'),
+    ("gamma_param", 40, "-1/2"): ('c4b3f718bd1a', '985d200874b7', '131443bdb655', '6cac2545687b'),
+    ("gamma_param_deriv", 40, "-1/2"): ('4a9d87a3704d', 'c58939247aec', 'c5978ef7337c', 'd9ed4ddb114a'),
+    ("gamma_ab", 40, "-1/2"): ('c4b3f718bd1a', '946f207a6d44', 'a0d590161c5a'),
+    ("gamma_param", 40, "0"): ('b0f0a6fd773d', '28edda6ace70', 'fe15bc4e5417', '6c0849fb9d53'),
+    ("gamma_param_deriv", 40, "0"): ('28edda6ace70', '69355a11ad11', 'b70777fa1933', 'e04317cfb287'),
+    ("gamma_ab", 40, "0"): ('b0f0a6fd773d', '9e7b2c0be536', '9dbe7e31a144'),
+    ("gamma_param", 40, "1/2"): ('48b2e93b0a5c', '64039d9910a4', '159fb84c5bd2', '72d115afff92'),
+    ("gamma_param_deriv", 40, "1/2"): ('3c0241b93961', 'b9e06c36bc1e', 'c6469877e99c', '4956ac96ac70'),
+    ("gamma_ab", 40, "1/2"): ('48b2e93b0a5c', 'cd1f9d8f40ee', '101f482e6e67'),
+    ("gamma_param", 100, "-1"): ('c7de374de58a', '0feb5629008b', '3a3f9e8ff474', '6651980934e0'),
+    ("gamma_param_deriv", 100, "-1"): ('01a8c6fa95a4', '41775eb93c70', 'fb38babbd635', '1e28a858059c'),
+    ("gamma_ab", 100, "-1"): ('c7de374de58a', '1e36f0de33b9', '880bedc8b99a'),
+    ("gamma_param", 100, "-1/2"): ('8881edad6ef2', 'c6d78c6ca608', 'd799323ff1de', '5c85d9e00bfd'),
+    ("gamma_param_deriv", 100, "-1/2"): ('1f6b53d958a7', '003be19e8693', 'a95b46b6040a', 'd0cb44107d2b'),
+    ("gamma_ab", 100, "-1/2"): ('8881edad6ef2', '769bd3638ba1', '390abd8f4eb8'),
+    ("gamma_param", 100, "0"): ('ff3c45940af0', '7170441372c3', '546d5349ccaf', '99e7d858f62d'),
+    ("gamma_param_deriv", 100, "0"): ('7170441372c3', 'ee7afb0c4a2d', '3d1a0b8e61c9', '6c3b1178d6b9'),
+    ("gamma_ab", 100, "0"): ('ff3c45940af0', 'ffb6bfda8894', '976bc676b1e8'),
+    ("gamma_param", 100, "1/2"): ('ca0d0eaf999b', '4a899d632f0e', '630be9b980a2', 'a4d30551762b'),
+    ("gamma_param_deriv", 100, "1/2"): ('6f5160efbd5c', '8d71de169ca6', '0c435b2ed29e', 'a11782e6808a'),
+    ("gamma_ab", 100, "1/2"): ('ca0d0eaf999b', 'f9603f3fc892', '901a8943ab13'),
+}
+
+
+def raw_digest(v):
+    sign, man, exp, bc = v.raw
+    return hashlib.sha256(f"{sign}:{int(man)}:{exp}:{bc}".encode()).hexdigest()[:12]
+
+
+@pytest.mark.parametrize("digits", [40, 100])
+def test_gamma_series_values_are_pinned_bit_for_bit(digits):
+    p = nk.bits_for_digits(digits)
+    for z in ("-1", "-1/2", "0", "1/2"):
+        zf = Fraction(z)
+        got = {
+            "gamma_param": tuple(raw_digest(ef.gamma_param(a, zf, p, digits))
+                                 for a in SERIES_ALPHAS),
+            "gamma_param_deriv": tuple(raw_digest(ef.gamma_param_deriv(a, zf, p, digits))
+                                       for a in SERIES_ALPHAS),
+            "gamma_ab": tuple(raw_digest(ef.gamma_ab(a, b, zf, p, digits))
+                              for a, b in SERIES_AB),
+        }
+        for fn, digests in got.items():
+            assert digests == SERIES_DIGESTS[fn, digits, z], (fn, z)
 
 
 def test_reindexed_family_matches_single_parameter_family():

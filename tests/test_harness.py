@@ -202,6 +202,9 @@ def test_verify_rejects_unknown_id_and_bad_target():
         hz.verify("NOPE")
     with pytest.raises(SpecError, match="target_digits"):
         hz.verify("KT1", 0)
+    for max_terms in (0, 1, 2.5):
+        with pytest.raises(SpecError, match="max_terms"):
+            hz.verify("KT3", max_terms=max_terms)
 
 
 def test_verify_is_deterministic():
@@ -444,6 +447,27 @@ def test_cli_custom_registry(tmp_path, capsys):
         ["verify", "ONLY", "--digits", "20", "--registry", str(path)], capsys
     )
     assert code == 0 and "ONLY: PASS" in out
+
+
+@pytest.mark.parametrize(
+    "lhs, token", [("product BD_D abc", "'abc'"), ("dfunc GAMMA_SERIES 1/0", "'1/0'")]
+)
+def test_cli_registry_with_unreadable_lhs_number(tmp_path, capsys, lhs, token):
+    path = tmp_path / "reg.txt"
+    path.write_text(f"id = BAD\nlhs = {lhs}\nrhs = 1\n")
+    code, out, err = run_cli(["list", "--registry", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert f"lhs '{lhs}': {token} is not a rational number" in err
+
+
+def test_cli_verify_max_terms(capsys):
+    for value in ("0", "1"):
+        code, _, err = run_cli(["verify", "KT3", "--max-terms", value], capsys)
+        assert code == 2 and "max_terms must be None or an integer >= 2" in err
+    # the smallest cap is honoured, not replaced by the default
+    code, out, _ = run_cli(["verify", "KT3", "--max-terms", "2"], capsys)
+    assert code == 1 and "KT3: FAIL" in out and "terms=2 " in out
+    assert "at term cap 2" in out
 
 
 def test_cli_missing_registry_path(capsys):

@@ -99,21 +99,17 @@ def test_at_rerounds():
 
 
 def test_policy_for_digits_meets_bound():
-    pol = nk.PrecisionPolicy.for_digits(40)
-    assert pol.working_bits >= math.ceil(40 * math.log2(10)) + pol.guard_bits
-    assert pol.target_digits == 40
-
-
-def test_policy_rejects_underprovisioned_bits():
-    with pytest.raises(nk.SpecError):
-        nk.PrecisionPolicy(working_bits=100, guard_bits=64, target_digits=40)
+    p = nk.bits_for_digits(40)
+    assert p == math.ceil(40 * math.log2(10)) + 64
+    assert nk.digits_for_bits(p) >= 40
 
 
 @given(d=st.integers(min_value=1, max_value=500), g=st.integers(min_value=0, max_value=128))
 @settings(max_examples=40)
 def test_policy_bound_property(d, g):
-    pol = nk.PrecisionPolicy.for_digits(d, guard_bits=g)
-    assert pol.working_bits == math.ceil(d * math.log2(10)) + g
+    p = nk.bits_for_digits(d, guard=g)
+    assert p == math.ceil(d * math.log2(10)) + g
+    assert nk.digits_for_bits(p) >= d
 
 
 # -- elementary operations vs high-precision references ----------------------
@@ -254,6 +250,45 @@ def test_agreement_property_random_center(q, k):
     b = nk.to_real(q * (1 + Fraction(1, 10**k) / 3), p)
     got = nk.agreement_digits(a, b)
     assert k - 1 <= got <= k + 1
+
+
+def reference_agreement(a, b):
+    """agreement_digits from exact Fractions: the same 53-bit relative
+    difference, then floor(-log10) by stepping through exact powers of ten."""
+    if a.to_fraction() == b.to_fraction():
+        return nk.MAX_AGREEMENT
+    p = max(a.precision_bits, b.precision_bits) + 16
+    diff = abs(nk.sub(a, b, p))
+    denom = max(abs(a), abs(b))
+    rel = nk.div(diff, denom, 53).to_fraction()
+    d = 0  # find d with 10^-(d+1) < rel <= 10^-d
+    while rel <= Fraction(1, 10 ** (d + 1)):
+        d += 1
+    while rel > Fraction(10) ** -d:
+        d -= 1
+    return d
+
+
+@given(
+    q=small_fractions,
+    k=st.integers(min_value=0, max_value=130),
+    shape=st.sampled_from(["near", "scaled", "zero", "free"]),
+    r=small_fractions,
+    pa=st.sampled_from([64, 128, 400]),
+    pb=st.sampled_from([64, 128, 400]),
+)
+@settings(max_examples=300)
+def test_agreement_matches_exact_reference(q, k, shape, r, pa, pb):
+    if shape == "near":  # a relative gap of exactly +-10^-k before rounding
+        other = q * (1 + Fraction(1 if r >= 0 else -1, 10**k))
+    elif shape == "scaled":
+        other = q * (1 + r / 10**k)
+    elif shape == "zero":
+        other = Fraction(0)
+    else:
+        other = r
+    a, b = nk.to_real(q, pa), nk.to_real(other, pb)
+    assert nk.agreement_digits(a, b) == reference_agreement(a, b)
 
 
 # -- truncating decimal renderer ---------------------------------------------
