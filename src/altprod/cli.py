@@ -138,9 +138,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("id", help="registry id, or 'all'")
     p_verify.add_argument("--digits", type=int, default=hz.DEFAULT_DIGITS)
     p_verify.add_argument(
-        "--method", choices=["raw", "euler", "wynn", "richardson"], default=None
+        "--method",
+        choices=["raw", "euler", "wynn", "richardson"],
+        default=None,
+        help="limit method of a product record (with 'all': product records only)",
     )
-    p_verify.add_argument("--max-terms", type=int, default=None)
+    p_verify.add_argument(
+        "--max-terms",
+        type=int,
+        default=None,
+        help="term cap of a product record's limit (with 'all': product records only)",
+    )
     p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument("--registry", help="path to an alternative registry file")
     p_verify.set_defaults(fn=_cmd_verify)

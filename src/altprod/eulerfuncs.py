@@ -76,19 +76,34 @@ def _alpha_coeff(alpha: Fraction, n: int, wp: int) -> Real:
     return nk.sub(nk.to_real(q, w), nk.ln_rational(1 + q, w), w)
 
 
-def _directed_check(coeff_at, n0: int, wp: int, total: Real, terms: int = 1024):
+def _paired_direct_sum(t_at, weight, n0: int, terms: int, w: int) -> Real:
+    """sum_{i<terms} (-1)^i weight(n) (t - ln(1 + t)), n = n0 + i, t = t_at(n).
+
+    The rational part is summed in fixed point with an error below
+    2^-(w+32); the log part's exponent vector over the primes of the
+    numerators and denominators of 1 + t is exact and is evaluated with the
+    rational part as one dot product, rounded once to w bits.
+    """
+    scale = w + 32 + terms.bit_length()
+    logs = nk.PrimeLogTable()
+    counts = {}
+    rational = 0  # in units of 2^-scale, each term floored
+    for i in range(terms):
+        n = n0 + i
+        c = weight(n) if i % 2 == 0 else -weight(n)
+        t = t_at(n)
+        rational += (c * t.numerator << scale) // t.denominator
+        logs.add(counts, t.denominator + t.numerator, -c)
+        logs.add(counts, t.denominator, c)
+    return logs.log_sum(w, [counts], Fraction(rational, 1 << scale))
+
+
+def _directed_check(term_at, t_at, weight, n0: int, wp: int, total: Real, terms: int):
     """Free consistency check at z = -1: a paired direct partial sum must sit
-    within the first omitted coefficient of the accelerated total."""
+    within the first omitted term of the accelerated total."""
     w = wp // 2 + 32
-    acc = nk.to_real(0, w)
-    sign = 1
-    n = n0
-    for _ in range(terms):
-        c = coeff_at(n, w)
-        acc = nk.add(acc, c if sign > 0 else -c, w)
-        sign = -sign
-        n += 1
-    bound = abs(coeff_at(n, w))
+    acc = _paired_direct_sum(t_at, weight, n0, terms, w)
+    bound = abs(term_at(n0 + terms, w))
     gap = abs(nk.sub(total.at(w), acc, w))
     slack = nk.ldexp(nk.add(bound, abs(total.at(w)), w), -(w // 2))
     if gap > nk.add(bound, slack, w):
@@ -125,10 +140,11 @@ def _direct_power_sum(coeff_at, n0: int, z: Fraction, weight, wp: int,
             raise NonConvergenceError(f"{what}: series did not meet the tail bound")
 
 
-def _z_series(what: str, z, p: int, target_digits: int, n0: int, coeff_at,
-              weight=None, check_terms: int = 1024) -> Real:
+def _z_series(what: str, z, p: int, target_digits: int, n0: int, t_at,
+              coeff_at, weight=None, check_terms: int = 1024) -> Real:
     """sum_{n>=n0} weight(n) z^(n-n0) coeff(n) for z in [-1, 1) and decreasing
-    coefficients; a missing weight is 1, a missing coeff_at the zero series.
+    coefficients coeff(n) = t - ln(1 + t), t = t_at(n); a missing weight is 1,
+    a missing coeff_at the zero series.
 
     At z = -1 the weighted terms are CRVZ-summed and the total must pass the
     directed check; inside (-1, 1) the series is summed directly to its
@@ -142,18 +158,18 @@ def _z_series(what: str, z, p: int, target_digits: int, n0: int, coeff_at,
         return nk.to_real(0, p)
     stop_bits = nk.bits_for_digits(target_digits, guard=16)
     wp = max(p, stop_bits) + 32
+    term_at = coeff_at
+    if weight is None:
+        weight = lambda n: 1  # noqa: E731
+    else:
+        def term_at(n, w):
+            return nk.mul(coeff_at(n, w), nk.to_real(weight(n), w), w)
     if zf == -1:
-        if weight is None:
-            term_at = coeff_at
-        else:
-            def term_at(n, w):
-                return nk.mul(coeff_at(n, w), nk.to_real(weight(n), w), w)
         gen = SequenceGen(term_at=term_at, n0=n0, kind=ALTERNATING_TERMS)
         total = alternating_sum(gen, stop_bits).value.at(wp)
-        _directed_check(term_at, n0, wp, total, terms=check_terms)
+        _directed_check(term_at, t_at, weight, n0, wp, total, check_terms)
         return total.at(p)
-    value = _direct_power_sum(coeff_at, n0, zf, weight or (lambda n: 1), wp,
-                              stop_bits, what)
+    value = _direct_power_sum(coeff_at, n0, zf, weight, wp, stop_bits, what)
     return value.at(p)
 
 
@@ -163,7 +179,7 @@ def gamma_param(alpha, z, p: int, target_digits: int) -> Real:
     if af <= -1:
         raise DomainError("gamma_param needs alpha > -1")
     coeff = (lambda n, w: _alpha_coeff(af, n, w)) if af else None
-    return _z_series("gamma_param", z, p, target_digits, 1, coeff)
+    return _z_series("gamma_param", z, p, target_digits, 1, lambda n: af / n, coeff)
 
 
 def gamma_param_deriv(alpha, z, p: int, target_digits: int) -> Real:
@@ -174,7 +190,7 @@ def gamma_param_deriv(alpha, z, p: int, target_digits: int) -> Real:
     coeff = (lambda n, w: _alpha_coeff(af, n, w)) if af else None
     # the weighted terms decay like 1/n, a power slower than the coefficients;
     # twice the pairs keep the check's window, the first omitted term, narrow
-    return _z_series("gamma_param_deriv", z, p, target_digits, 2, coeff,
+    return _z_series("gamma_param_deriv", z, p, target_digits, 2, lambda n: af / n, coeff,
                      weight=lambda n: n - 1, check_terms=2048)
 
 
@@ -184,7 +200,7 @@ def gamma_ab(a, b, z, p: int, target_digits: int) -> Real:
     bf = _as_fraction(b, "b")
     if af <= 0 or bf <= 0:
         raise DomainError("gamma_ab needs a > 0 and b > 0")
-    return _z_series("gamma_ab", z, p, target_digits, 0,
+    return _z_series("gamma_ab", z, p, target_digits, 0, lambda n: 1 / (af * n + bf),
                      lambda n, w: _series_coeff(af * n + bf, w))
 
 

@@ -11,7 +11,8 @@ closed: six named constants, eight functions, no variables.
 The fields of a product spec are written in the same grammar, as exact
 rational functions of one integer variable: `compile_field` binds that
 variable, admits no other name, and compiles the tree once into a function
-from an int to a `Fraction`.
+from an int to a `Fraction`; `compile_powers` gives the same field's log
+form, its integer powers as (integer, exponent) pairs.
 """
 
 import dataclasses
@@ -603,6 +604,48 @@ def compile_field(text: str, var: str) -> Tuple[ConstExpr, Callable[[int], Fract
         return v if type(v) is Fraction else Fraction(v)
 
     return expr, run
+
+
+def _integer_pairs(v) -> list:
+    if v.denominator == 1:
+        return [(v.numerator, 1)]
+    return [(v.numerator, 1), (v.denominator, -1)]
+
+
+def _compile_powers(node: Node) -> Callable[[int], list]:
+    if isinstance(node, Binary) and node.op in ("mul", "div"):
+        a, b = _compile_powers(node.left), _compile_powers(node.right)
+        if node.op == "mul":
+            return lambda x: a(x) + b(x)
+        return lambda x: a(x) + [(v, -m) for v, m in b(x)]
+    if isinstance(node, Binary) and node.op == "pow":
+        a, e = _compile_powers(node.left), _compile(node.right)
+
+        def power(x):
+            k = e(x) if callable(e) else e
+            if k.denominator != 1:
+                raise SpecError("exponent in ^ must be an integer")
+            return [(v, m * k.numerator) for v, m in a(x)]
+
+        return power
+    f = _compile(node)
+    if not callable(f):
+        pairs = _integer_pairs(f)
+        return lambda x: pairs
+    return lambda x: _integer_pairs(f(x))
+
+
+def compile_powers(expr: ConstExpr) -> Callable[[int], list]:
+    """The log form of a tree from `compile_field`: a function from the
+    variable's value to (integer, exponent) pairs whose product of powers is
+    the field's value.
+
+    Products, quotients and integer powers become pairs with exact integer
+    exponents, so a power is never built; every other subtree is evaluated
+    exactly and split into its numerator and denominator.  An integer may be
+    zero or negative; the caller decides what that means.
+    """
+    return _compile_powers(expr.root)
 
 
 # ---------------------------------------------------------------------------

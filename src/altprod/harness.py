@@ -263,7 +263,11 @@ def verify(
     registry: Optional[Registry] = None,
 ) -> VerificationReport:
     """Verify one identity to target_digits; the pass bit additionally
-    requires the agreement to survive a re-run 64 bits higher."""
+    requires the agreement to survive a re-run 64 bits higher.
+
+    ``method`` and ``max_terms`` override a product record's limit; on any
+    other record they raise SpecError, since no route there would use them.
+    """
     reg = default_registry() if registry is None else registry
     rec = reg.get(id)
     if target_digits < 1:
@@ -271,6 +275,11 @@ def verify(
     if max_terms is not None and (not isinstance(max_terms, int) or max_terms < 2):
         raise SpecError(f"max_terms must be None or an integer >= 2, got {max_terms!r}")
     form = reg.lhs_form(id)
+    if form[0] != "product" and (method is not None or max_terms is not None):
+        raise SpecError(
+            f"record {id!r} has no product LHS; method and max_terms apply to "
+            "product records only"
+        )
     rhs_tree = reg.rhs_tree(id)
     p = nk.bits_for_digits(target_digits)
     t0 = time.perf_counter()
@@ -344,18 +353,23 @@ def verify_all(
     workers: int = 4,
 ) -> list:
     """Verify every record; failures never abort the batch, and the result
-    list is in registry order regardless of completion order."""
+    list is in registry order regardless of completion order.
+
+    ``method`` and ``max_terms`` apply to the product records only; every
+    other record runs its own route and reports its registry method.
+    """
     reg = default_registry() if registry is None else registry
     ids = reg.ids()
     if not ids:
         return []
 
     def one(rec_id):
+        product = reg.lhs_form(rec_id)[0] == "product"
         return verify(
             rec_id,
             target_digits,
-            method=method,
-            max_terms=max_terms,
+            method=method if product else None,
+            max_terms=max_terms if product else None,
             registry=reg,
         )
 

@@ -16,6 +16,7 @@ rounded up, so a printed prefix is always a true prefix of the value).
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
 from typing import Union
 
@@ -31,6 +32,7 @@ __all__ = [
     "Real",
     "to_real",
     "ln_rational",
+    "PrimeLogTable",
     "agreement_digits",
     "truncated_decimal",
     "bits_for_digits",
@@ -362,6 +364,85 @@ def ln_rational(q: Rationalish, p: int) -> Real:
     wp = p + GUARD_BITS + 8 + cancel
     x = libmp.from_rational(q.numerator, q.denominator, wp, _RND)
     return Real(libmp.mpf_log(x, wp, _RND), wp).at(p)
+
+
+# smallest-prime-factor sieves grow by doubling up to this bound; a larger
+# integer is an atom of its own
+_SIEVE_CAP = 1 << 16
+
+
+def _spf_sieve(size: int) -> array:
+    """spf[x] = the smallest prime factor of x, for 2 <= x < size.
+
+    Every q <= sqrt(size) marks its multiples from q^2 on, largest q first,
+    so a prime dividing q overwrites q's marks and the smallest divisor
+    above 1 of each x, which is prime, is written last.
+    """
+    spf = array("I", range(size))
+    for q in range(math.isqrt(size - 1), 1, -1):
+        count = len(range(q * q, size, q))
+        spf[q * q :: q] = array("I", [q]) * count
+    return spf
+
+
+class PrimeLogTable:
+    """Exact integer combinations of logs of positive integers, rounded once.
+
+    An exponent vector is a dict from atom to an exact integer exponent c_q;
+    ``add`` splits an integer into atoms, the primes of a smallest-prime-
+    factor sieve, or, past the sieve's cap, the integer itself.
+    ``log_sum`` evaluates sum c_q ln q over one or more vectors plus an exact
+    rational offset as one exact dot product of the atoms' dyadic log
+    mantissas, rounded once.  Its working precision comes from the exact
+    vectors, so the sum's absolute error stays below 2^-(p+32) before that
+    rounding, and the atom logs are cached per precision bucket: every value
+    is a function of the vectors, the offset and p alone.
+
+    The sieve and the log cache belong to one table; a table serves one
+    evaluation run and is not shared across threads.
+    """
+
+    def __init__(self):
+        self._spf = array("I")
+        self._fixed_logs = {}  # bucket F -> {atom: round(ln atom, F bits) * 2^F}
+
+    def add(self, counts: dict, x: int, m: int) -> None:
+        """Add m times the atom exponents of the integer x >= 1 to counts."""
+        if x >= _SIEVE_CAP:
+            counts[x] = counts.get(x, 0) + m
+            return
+        spf = self._spf
+        if x >= len(spf):
+            size = max(len(spf), 256)
+            while size <= x:
+                size *= 2
+            spf = self._spf = _spf_sieve(size)
+        while x > 1:
+            q = spf[x]
+            x //= q
+            counts[q] = counts.get(q, 0) + m
+
+    def log_sum(self, p: int, vectors, offset: Rationalish = 0) -> Real:
+        """sum over the vectors of sum c_q ln q, plus offset, rounded once to p bits."""
+        bound = sum(abs(c) * q.bit_length() for counts in vectors for q, c in counts.items())
+        # at F >= wp bits each atom log is off by at most 2^-F ln q, and
+        # ln q < bitlen(q), so the dot product is off by less than
+        # bound * 2^-F <= 2^-(p+32); F rounds wp up to a multiple of 64, so
+        # requests whose vectors differ by a few bits share one set of logs
+        wp = p + 32 + bound.bit_length()
+        bucket = -(-wp // 64) * 64
+        table = self._fixed_logs.setdefault(bucket, {})
+        total = 0
+        for counts in vectors:
+            for q, c in counts.items():
+                if c:
+                    fixed = table.get(q)
+                    if fixed is None:
+                        # ln q > 1/2 at `bucket` bits has an exponent >= -bucket
+                        _, man, exp, _ = ln_rational(q, bucket).raw
+                        fixed = table[q] = man << (exp + bucket)
+                    total += c * fixed
+        return to_real(Fraction(total, 1 << bucket) + offset, p)
 
 
 def _floor_log10(v: Fraction) -> int:

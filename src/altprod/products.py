@@ -10,8 +10,12 @@ Every field is an `exprlang` expression in k or n, compiled once to an exact
 rational function.
 
 Partial products are available in two forms: exactly, as a rational number
-times a rational power of e (the brute-force oracle), and in log space at
-working precision for the limit machinery.  Limits are delegated to the
+times a rational power of e (the brute-force oracle, which multiplies
+directly), and in log space for the limit machinery.  The log form never
+takes a log per factor: the factors' numerators and denominators, and the
+bridge's integer powers, are split into prime exponents that add up
+exactly, and the log partial is one dot product of that exponent vector with
+the primes' logs, rounded once.  Limits are delegated to the
 sequence-acceleration module on the log-partial sequence.
 
 Specs are built from a flat key-value text form; the built-in catalog goes
@@ -80,13 +84,17 @@ def _check_powers(node, allow_alternation: bool, allow_var_base: bool, what: str
     return left or right
 
 
-def _compile(text: str, var: str, *, alternation=False, var_base=False, what: str):
+def _compile_tree(text: str, var: str, *, alternation=False, var_base=False, what: str):
     try:
         tree, fn = ex.compile_field(text, var)
     except (SpecError, OracleRangeError) as err:
         raise type(err)(f"{what}: {err}") from None
     _check_powers(tree.root, alternation, var_base, what)
-    return fn
+    return tree, fn
+
+
+def _compile(text: str, var: str, *, alternation=False, what: str):
+    return _compile_tree(text, var, alternation=alternation, what=what)[1]
 
 
 # -- domain types --------------------------------------------------------------
@@ -118,11 +126,14 @@ class BridgedProductSpec:
     _exponent: _Field = field(repr=False)
     _e_exponent: _Field = field(repr=False)
     _upper: _Field = field(repr=False)
-    _bridge: Optional[Tuple[_Field, _Field, _Field]] = field(repr=False, default=None)
+    # base, power, e-power, and the base's log form (see exprlang.compile_powers)
+    _bridge: Optional[Tuple[_Field, _Field, _Field, Callable[[int], list]]] = field(
+        repr=False, default=None
+    )
 
     def factor(self, k: int) -> Fraction:
         f = self._factor(k)
-        if f <= 0:
+        if f.numerator <= 0:
             raise DomainError(f"{self.name}: factor at k={k} is not positive ({f})")
         return f
 
@@ -130,7 +141,7 @@ class BridgedProductSpec:
         e = self._exponent(k)
         if e.denominator != 1:
             raise SpecError(f"{self.name}: exponent at k={k} is not an integer ({e})")
-        return int(e)
+        return e.numerator
 
     def e_exponent(self, k: int) -> Fraction:
         return self._e_exponent(k)
@@ -144,14 +155,33 @@ class BridgedProductSpec:
     def bridge(self, n: int) -> Optional[Tuple[Fraction, int, Fraction]]:
         if self._bridge is None:
             return None
-        base_f, power_f, epower_f = self._bridge
+        base_f, power_f, epower_f, _ = self._bridge
         base = base_f(n)
-        power = power_f(n)
-        if power.denominator != 1:
-            raise SpecError(f"{self.name}: bridge power at n={n} is not an integer")
+        power = self._bridge_power(n)
         if base <= 0:
             raise DomainError(f"{self.name}: bridge base at n={n} is not positive")
-        return base, int(power), epower_f(n)
+        return base, power, epower_f(n)
+
+    def bridge_log(self, n: int) -> Optional[Tuple[list, Fraction]]:
+        """The bridge without its exact power: (integer, exponent) pairs whose
+        product of powers is base(n)^power(n), every integer above 1, and the
+        e-power."""
+        if self._bridge is None:
+            return None
+        _, _, epower_f, pairs_f = self._bridge
+        pairs = pairs_f(n)
+        power = self._bridge_power(n)
+        if any(v == 0 and m < 0 for v, m in pairs):
+            raise SpecError("division by zero in expression")
+        if any(v == 0 and m for v, m in pairs) or sum(m for v, m in pairs if v < 0) % 2:
+            raise DomainError(f"{self.name}: bridge base at n={n} is not positive")
+        return [(abs(v), m * power) for v, m in pairs if m and abs(v) != 1], epower_f(n)
+
+    def _bridge_power(self, n: int) -> int:
+        power = self._bridge[1](n)
+        if power.denominator != 1:
+            raise SpecError(f"{self.name}: bridge power at n={n} is not an integer")
+        return int(power)
 
 
 # -- parsing -------------------------------------------------------------------
@@ -195,10 +225,12 @@ def parse_product_spec(text: str) -> BridgedProductSpec:
         parts = fields["bridge"].split(";")
         if len(parts) != 3:
             raise SpecError("bridge must be 'base ; power ; e-power'")
+        base_tree, base = _compile_tree(parts[0], "n", var_base=True, what="bridge base")
         bridge = (
-            _compile(parts[0], "n", var_base=True, what="bridge base"),
+            base,
             _compile(parts[1], "n", what="bridge power"),
             _compile(parts[2], "n", what="bridge e-power"),
+            ex.compile_powers(base_tree),
         )
 
     spec = BridgedProductSpec(
@@ -394,66 +426,63 @@ def partial_exact(spec: BridgedProductSpec, n: int) -> ExactPartial:
 # -- log-space evaluation -----------------------------------------------------------
 
 
-# log_partial guards the running sum with 4*bitlen(upper) bits; flooring the
-# bit length at 16 gives every request at one p up to upper = 2^16 - 3 the
-# same working precision, so a whole Richardson round shares one walk
-_GUARD_BITLEN_FLOOR = 16
-
-
 class ProductEvalSession:
     """Incremental log-partial evaluation for one spec.
 
-    The session keeps one running sum over the factors, at the working
-    precision of the latest request; a request at that precision is served
-    from it by rounding, so walking n upward costs one log per new factor.
-    A request at another precision, or one whose truncation index went
-    backward, restarts the walk, which keeps every value a function of
-    (n, p) alone.  Sessions are meant for a single evaluation run and are not
-    shared across threads.
+    Walking the factors collects an exact exponent vector instead of adding
+    logs: the numerator and denominator of each factor f(k) are split into
+    primes by the session's own sieve, and m_k times each prime's exponent
+    is added to that prime's count, while the e-powers add up exactly.  The
+    walk goes forward or backward to the truncation index of each request,
+    so walking n upward visits each new factor once.  ``log_partial`` then
+    evaluates the counts, the bridge's pairs and the e-part as one exact dot
+    product with the atom logs, rounded once (``numkernel.PrimeLogTable``).
+    The vector does not depend on the precision, and the working precision
+    and atom logs depend only on it and p, so every value is a function of
+    (n, p) alone, whatever was requested before.  Sessions are meant for a
+    single evaluation run and are not shared across threads.
     """
 
     def __init__(self, spec: BridgedProductSpec):
         self.spec = spec
-        self._state = None  # (wp, next_k, core_log Real, core_e Fraction)
+        self._logs = nk.PrimeLogTable()
+        self._counts = {}  # atom -> exact exponent over factors k_start .. next_k - 1
+        self._e = Fraction(0)
+        self._next_k = spec.k_start
 
-    def _core(self, upper: int, wp: int):
-        state = self._state
-        if state is None or state[0] != wp or upper < state[1] - 1:
-            state = (wp, self.spec.k_start, nk.to_real(0, wp), Fraction(0))
-        _, next_k, core_log, core_e = state
-        while next_k <= upper:
-            k = next_k
-            f = self.spec.factor(k)
-            m = self.spec.exponent(k)
-            core_e += self.spec.e_exponent(k)
-            if m != 0:
-                term = nk.mul(nk.ln_rational(f, wp), nk.to_real(m, wp), wp)
-                core_log = nk.add(core_log, term, wp)
-            next_k = k + 1
-        self._state = (wp, next_k, core_log, core_e)
-        return core_log, core_e
+    def _step(self, k: int, sign: int):
+        spec, logs, counts = self.spec, self._logs, self._counts
+        f = spec.factor(k)
+        m = spec.exponent(k)
+        e = spec.e_exponent(k)
+        if e:
+            self._e += e if sign > 0 else -e
+        if m != 0:
+            logs.add(counts, f.numerator, sign * m)
+            logs.add(counts, f.denominator, -sign * m)
 
     def log_partial(self, n: int, p: int) -> Real:
         if n < 0:
             raise SpecError("partial index must be >= 0")
         spec = self.spec
-        upper = spec.upper_index(n)
-        bitlen = max(_GUARD_BITLEN_FLOOR, (abs(upper) + 2).bit_length())
-        wp = p + 32 + 4 * bitlen
-        core_log, core_e = self._core(upper, wp)
-        e_total = core_e
-        acc = core_log
-        br = spec.bridge(n)
+        upper = max(spec.upper_index(n), spec.k_start - 1)
+        while self._next_k <= upper:
+            self._step(self._next_k, 1)
+            self._next_k += 1
+        while self._next_k - 1 > upper:
+            self._next_k -= 1
+            self._step(self._next_k, -1)
+        vectors = [self._counts]
+        e_total = self._e
+        br = spec.bridge_log(n)
         if br is not None:
-            base, power, epower = br
+            pairs, epower = br
             e_total += epower
-            if power:
-                acc = nk.add(
-                    acc, nk.mul(nk.ln_rational(base, wp), nk.to_real(power, wp), wp), wp
-                )
-        if e_total:
-            acc = nk.add(acc, nk.to_real(e_total, wp), wp)
-        return acc.at(p)
+            bridge = {}
+            for v, m in pairs:
+                self._logs.add(bridge, v, m)
+            vectors.append(bridge)
+        return self._logs.log_sum(p, vectors, e_total)
 
 
 def log_partial(spec: BridgedProductSpec, n: int, p: int) -> Real:

@@ -29,13 +29,17 @@ from altprod.eulerfuncs import (
     PRODUCT,
     LerchDerivQuery,
 )
-from altprod.numkernel import DomainError, SpecError
+from altprod.numkernel import DomainError, NonConvergenceError, SpecError
 
 mp.mp.dps = 80
 
 
 def as_mpf(x):
     return mp.make_mpf(x.raw)
+
+
+def mpq(f: Fraction):
+    return mp.mpf(f.numerator) / f.denominator
 
 
 def ref_ln_ratio_limit_at_one(p: int):
@@ -260,6 +264,47 @@ def test_gamma_series_values_are_pinned_bit_for_bit(digits):
         }
         for fn, digests in got.items():
             assert digests == SERIES_DIGESTS[fn, digits, z], (fn, z)
+
+
+@pytest.mark.parametrize(
+    "t_at,weight,n0,terms",
+    [
+        (lambda n: Fraction(1, 2 * n), lambda n: n - 1, 2, 2048),  # gamma_param_deriv at 1/2
+        (lambda n: Fraction(-1, 3 * n), lambda n: 1, 1, 1024),  # gamma_param at -1/3
+        (lambda n: 1 / (7 * n + Fraction(5, 3)), lambda n: 1, 0, 1024),  # gamma_ab(7, 5/3)
+    ],
+)
+def test_paired_direct_sum_matches_mpmath(t_at, weight, n0, terms):
+    # the directed check's direct sum: the exact exponent vector and the
+    # fixed-point rational part keep it within 2^-(w+30) of the true sum
+    w = 200
+    got = ef._paired_direct_sum(t_at, weight, n0, terms, w)
+    with mp.workprec(w + 64):
+        want = mp.fsum(
+            (-1) ** i * weight(n0 + i) * (mpq(t_at(n0 + i)) - mp.log1p(mpq(t_at(n0 + i))))
+            for i in range(terms)
+        )
+        assert abs(as_mpf(got) - want) <= mp.mpf(2) ** -(w + 30) + abs(want) * mp.mpf(2) ** -w
+
+
+def test_directed_check_refuses_a_total_off_by_more_than_the_first_omitted_term():
+    alpha, wp = Fraction(1, 2), 240
+    w = wp // 2 + 32
+
+    def term_at(n, q):
+        return nk.mul(ef._alpha_coeff(alpha, n, q), nk.to_real(n - 1, q), q)
+
+    direct = as_mpf(ef._paired_direct_sum(lambda n: alpha / n, lambda n: n - 1, 2, 2048, w))
+    bound = as_mpf(term_at(2 + 2048, w))
+    for shift, ok in ((mp.mpf("0.9"), True), (mp.mpf("1.1"), False)):
+        for sign in (1, -1):
+            total = nk.Real(mp.mpf(direct + sign * shift * bound)._mpf_, wp)
+            args = (term_at, lambda n: alpha / n, lambda n: n - 1, 2, wp, total, 2048)
+            if ok:
+                ef._directed_check(*args)
+            else:
+                with pytest.raises(NonConvergenceError, match="direct partial sum"):
+                    ef._directed_check(*args)
 
 
 def test_reindexed_family_matches_single_parameter_family():

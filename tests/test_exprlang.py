@@ -431,3 +431,36 @@ def test_compiled_field_matches_the_constant_evaluator(text, k):
     got = as_mpf(ex.eval_expr(tree(text.replace("k", f"({k})")), 256))
     ref = mp.mpf(want.numerator) / want.denominator
     assert abs(got - ref) <= mp.mpf(2) ** -180 * (1 + abs(ref))
+
+
+def _power_product(pairs) -> Fraction:
+    out = Fraction(1)
+    for v, m in pairs:
+        out *= Fraction(v) ** m
+    return out
+
+
+def test_compile_powers_keeps_exponents_exact_and_builds_no_power():
+    expr, exact = ex.compile_field("(2*n+2)^(4*n+5)/(2*n+1)^(12*n+9)", "n")
+    pairs = ex.compile_powers(expr)
+    assert pairs(3) == [(8, 17), (7, -45)]
+    assert _power_product(pairs(3)) == exact(3)
+    n = 10**7  # the exact power would have about 2^30 bits
+    assert pairs(n) == [(2 * n + 2, 4 * n + 5), (2 * n + 1, -(12 * n + 9))]
+    with pytest.raises(OracleRangeError, match="exact power"):
+        exact(n)
+    # sums and decimals are evaluated exactly, then split into numerator and denominator
+    expr, exact = ex.compile_field("(n + 1/2)*3^n/1.5", "n")
+    assert ex.compile_powers(expr)(2) == [(5, 1), (2, -1), (3, 2), (3, -1), (2, 1)]
+    assert _power_product(ex.compile_powers(expr)(2)) == exact(2)
+
+
+@settings(deadline=None, max_examples=120)
+@given(text=_FIELD_TEXTS, k=st.integers(-6, 40))
+def test_compiled_powers_multiply_to_the_exact_field(text, k):
+    try:
+        expr, exact = ex.compile_field(text, "k")
+        want = exact(k)
+    except SpecError:  # division by zero, folded or at this k
+        return
+    assert _power_product(ex.compile_powers(expr)(k)) == want

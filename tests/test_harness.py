@@ -207,6 +207,28 @@ def test_verify_rejects_unknown_id_and_bad_target():
             hz.verify("KT3", max_terms=max_terms)
 
 
+def test_verify_refuses_overrides_on_a_non_product_record():
+    for overrides in ({"method": "RAW"}, {"max_terms": 2}, {"method": "EULER", "max_terms": 64}):
+        with pytest.raises(SpecError, match="product records only"):
+            hz.verify("DGAMMA_ONE", 20, **overrides)
+
+
+def test_cli_verify_override_on_a_non_product_record_exits_2(capsys):
+    code, out, err = run_cli(
+        ["verify", "DGAMMA_ONE", "--method", "raw", "--max-terms", "2", "--digits", "20"], capsys
+    )
+    assert code == 2 and out == ""
+    assert "product records only" in err
+
+
+def test_verify_all_applies_overrides_to_product_records_only():
+    base = hz.default_registry()
+    reg = hz.Registry((base.get("KT3"), base.get("LERCH_CATALAN")))
+    kt3, lerch = hz.verify_all(20, method="RAW", max_terms=2, registry=reg)
+    assert kt3.method == "RAW" and kt3.terms_used == 2 and not kt3.passed
+    assert lerch.method == "HURWITZ_SPLIT" and lerch.terms_used == 0 and lerch.passed
+
+
 def test_verify_is_deterministic():
     first = hz.verify("KT4", 30)
     second = hz.verify("KT4", 30)

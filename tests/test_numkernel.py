@@ -346,3 +346,61 @@ def test_threaded_calls_match_sequential():
     with ThreadPoolExecutor(max_workers=8) as ex:
         got = list(ex.map(lambda q: nk.ln_rational(q, 200).to_fraction(), qs))
     assert got == expect
+
+
+# -- exact log sums over prime exponents -------------------------------------
+
+
+def test_spf_sieve_holds_smallest_prime_factors():
+    spf = nk._spf_sieve(3000)
+    primes = [q for q in range(2, 3000) if all(q % d for d in range(2, math.isqrt(q) + 1))]
+    for x in range(2, 3000):
+        assert spf[x] == next(q for q in primes if x % q == 0)
+
+
+def test_prime_log_table_splits_integers_into_atoms():
+    table = nk.PrimeLogTable()
+    counts = {}
+    table.add(counts, 360, 2)  # 2^3 3^2 5
+    table.add(counts, 1, 5)
+    table.add(counts, 65537, -1)  # past the sieve cap: an atom of its own
+    table.add(counts, 2 * 65537, 3)  # composite past the cap stays whole
+    table.add(counts, 65521, 1)  # the largest prime below the cap
+    table.add(counts, 65534, 1)  # 2 * 7 * 31 * 151, split by the sieve
+    assert counts == {2: 7, 3: 4, 5: 2, 7: 1, 31: 1, 151: 1, 65537: -1, 131074: 3, 65521: 1}
+
+
+atom_counts = st.dictionaries(
+    st.one_of(st.integers(2, 70000), st.integers(2, 10**30)),
+    st.integers(-(10**12), 10**12),
+    max_size=12,
+)
+
+
+@given(vectors=st.lists(atom_counts, min_size=1, max_size=3),
+       offset=small_fractions, p=st.sampled_from([53, 160, 600]))
+@settings(max_examples=60, deadline=None)
+def test_log_sum_is_the_exact_sum_rounded_once(vectors, offset, p):
+    table = nk.PrimeLogTable()
+    split = []
+    for atoms in vectors:
+        counts = {}
+        for q, c in atoms.items():
+            table.add(counts, q, c)
+        split.append(counts)
+    got = table.log_sum(p, split, offset)
+    assert got.precision_bits == p
+    with mp.workprec(p + 160):
+        want = mp.fsum(c * mp.log(q) for atoms in vectors for q, c in atoms.items())
+        want += mp.mpf(offset.numerator) / offset.denominator
+        # below 2^-(p+32) before the one rounding, then half an ulp at p bits
+        assert abs(as_mpf(got) - want) <= mp.mpf(2) ** -(p + 31) + abs(want) * mp.mpf(2) ** -p
+
+
+def test_log_sum_bits_do_not_depend_on_earlier_requests():
+    counts = {3: 10**9, 7: -(10**9), 65537: 5}
+    fresh = {p: nk.PrimeLogTable().log_sum(p, [counts], Fraction(1, 3)).raw for p in (100, 164)}
+    table = nk.PrimeLogTable()
+    assert table.log_sum(164, [counts], Fraction(1, 3)).raw == fresh[164]
+    assert table.log_sum(100, [counts], Fraction(1, 3)).raw == fresh[100]
+    assert table.log_sum(100, [{}], 0).is_zero()

@@ -7,6 +7,7 @@ catalog entries are checked as exact rational identities, and only then are
 accelerated limits compared against independently computed closed forms.
 """
 
+import hashlib
 from fractions import Fraction
 
 import mpmath as mp
@@ -115,6 +116,25 @@ def spec_with(**fields):
     base = {"name": "x", "factor": "k/(k+1)", "exponent": "k", "upper": "2*n"}
     base.update(fields)
     return pr.parse_product_spec("\n".join(f"{k} = {v}" for k, v in base.items()))
+
+
+def test_bridge_base_must_stay_positive_in_both_forms():
+    # the exact bridge and its split into powers refuse the same bases
+    for base in ("1-2*n", "(1-2*n)^3*(n+1)", "(n-1)*(n+2)"):
+        spec = spec_with(bridge=f"{base} ; 1 ; 0")
+        for form in (lambda: spec.bridge(1), lambda: pr.log_partial(spec, 1, 64)):
+            with pytest.raises(DomainError, match="bridge base at n=1"):
+                form()
+    spec = spec_with(bridge="2/(n-1) ; 1 ; 0")
+    for form in (lambda: spec.bridge(1), lambda: pr.log_partial(spec, 1, 64)):
+        with pytest.raises(SpecError, match="division by zero"):
+            form()
+    # an even power of a negative integer is positive
+    spec = spec_with(bridge="(1-2*n)^2/(n+1) ; n ; 1/2")
+    exact = pr.partial_exact(spec, 3)
+    with mp.workprec(260):
+        want = mp.log(mpq(exact.rational_part)) + mpq(exact.e_power)
+        assert abs(as_mpf(pr.log_partial(spec, 3, 200)) - want) <= abs(want) * mp.mpf(2) ** -199
 
 
 def test_syntax_error_names_the_field_and_byte_offset():
@@ -392,25 +412,173 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+def _prime_factors(x: int) -> set:
+    out, q = set(), 2
+    while q * q <= x:
+        while x % q == 0:
+            out.add(q)
+            x //= q
+        q += 1
+    return out | ({x} if x > 1 else set())
+
+
+def _distinct_atoms(spec, ns) -> set:
+    # every prime of a factor's numerator or denominator, and of the bridge's
+    # integers; the catalog's integers here all lie below the sieve cap
+    atoms = set()
+    for k in range(spec.k_start, spec.upper_index(max(ns)) + 1):
+        f = spec.factor(k)
+        atoms |= _prime_factors(f.numerator) | _prime_factors(f.denominator)
+    for n in ns:
+        br = spec.bridge_log(n)
+        for v, _ in br[0] if br is not None else ():
+            atoms |= _prime_factors(v)
+    return atoms
+
+
 @pytest.mark.parametrize("name", ["KT3", "GS53R"])
 def test_one_limit_is_one_extrapolation_over_one_factor_walk(monkeypatch, name):
     spec = pr.builtin(name)
     rounds = _count_calls(monkeypatch, accel, "richardson_limit")
+    factors = _count_calls(monkeypatch, pr.BridgedProductSpec, "factor")
     logs = _count_calls(monkeypatch, nk, "ln_rational")
     est = pr.limit(spec, nk.bits_for_digits(100), 100)
     assert len(rounds) == 1
     n0, J = 1, est.terms_used - 1
-    factors = spec.upper_index(n0 + J) - spec.k_start + 1
-    bridge_logs = J + 1 if spec.bridge(n0) is not None else 0
-    assert len(logs) <= factors + bridge_logs
+    assert len(factors) == spec.upper_index(n0 + J) - spec.k_start + 1
+    assert 0 < len(logs) <= len(_distinct_atoms(spec, range(n0, n0 + J + 1)))
 
 
 def test_raw_limit_walks_the_factors_once(monkeypatch):
     spec = pr.builtin("MELZAK")
+    factors = _count_calls(monkeypatch, pr.BridgedProductSpec, "factor")
     logs = _count_calls(monkeypatch, nk, "ln_rational")
     with pytest.raises(NonConvergenceError):
         pr.limit(spec, nk.bits_for_digits(30), 30, method=RAW, max_terms_cap=512)
-    assert len(logs) == spec.upper_index(512) - spec.k_start + 1
+    assert len(factors) == spec.upper_index(512) - spec.k_start + 1
+    assert 0 < len(logs) <= len(_distinct_atoms(spec, [512]))
+
+
+def _digest(values) -> str:
+    h = hashlib.sha256()
+    for v in values:
+        sign, man, exp, bc = v.raw
+        h.update(f"{sign},{int(man)},{exp},{bc};".encode())
+    return h.hexdigest()[:16]
+
+
+# SHA-256 prefixes of the raw log partials of the walk that summed one
+# ln_rational per factor, pinned when the walk became an exponent vector
+_TABLE_PINS = {
+    ("KT1", None): "55f23ca69323246a",
+    ("KT3", None): "994a870d7b76f858",
+    ("MELZAK", None): "0ec2ff5aaaf38e47",
+    ("GS53R", None): "d958cffa2b043133",
+    ("BD_D", Fraction(1)): "b8b02b7227c3ca2e",
+}
+_SMALL_PINS = {
+    ("KT1", None): "eeaee95690852c65",
+    ("KT2", None): "7d36a20b6af1a46b",
+    ("KT3", None): "a1d260764317b764",
+    ("KT4", None): "efb144271b3eb8a6",
+    ("MELZAK", None): "f772a8b0d90d1b93",
+    ("GS53R", None): "0b78fcad5fb8501c",
+    ("GS55R", None): "de7ac090106f1eab",
+    ("HOLCOMBE", None): "40e2bd0302df414a",
+    ("BD_D", Fraction(1)): "c7c30de685260366",
+    ("ADAMCHIK_E", Fraction(1, 2)): "14daa0373389daee",
+    ("ADAMCHIK_P5", Fraction(1, 4)): "be9e26a648bf6af4",
+}
+
+
+@pytest.mark.parametrize("name,x", list(_TABLE_PINS), ids=lambda v: str(v))
+def test_table_walk_log_partials_are_pinned_bit_for_bit(name, x):
+    session = pr.ProductEvalSession(pr.builtin(name, x))
+    p = nk.bits_for_digits(30)
+    values = [session.log_partial(n, p) for n in (9, 99, 990, 9900)]
+    assert _digest(values) == _TABLE_PINS[name, x]
+
+
+@pytest.mark.parametrize("name,x", list(_SMALL_PINS), ids=lambda v: str(v))
+def test_small_log_partials_are_pinned_bit_for_bit(name, x):
+    session = pr.ProductEvalSession(pr.builtin(name, x))
+    p = nk.bits_for_digits(100)
+    values = [session.log_partial(n, p) for n in range(1, 131)]
+    assert _digest(values) == _SMALL_PINS[name, x]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    name=st.sampled_from(["BD_D", "ADAMCHIK_P5"]),
+    a=st.integers(min_value=-7, max_value=30),
+    b=st.integers(min_value=1, max_value=12),
+    n=st.integers(min_value=0, max_value=40),
+)
+def test_exponent_vector_is_the_exact_partial(name, a, b, n):
+    x = Fraction(a, b)
+    assume(x > -1 if name == "BD_D" else 2 * x > -1)
+    spec = pr.builtin(name, x)
+    session = pr.ProductEvalSession(spec)
+    p = 600
+    got = session.log_partial(n, p)
+    exact = pr.partial_exact(spec, n)
+    counts = session._counts
+    product = Fraction(1)
+    for q, c in counts.items():
+        product *= Fraction(q) ** c
+    assert product == exact.rational_part
+    with mp.workprec(p + 64):
+        want = mp.log(mpq(exact.rational_part)) + mpq(exact.e_power)
+        vector = mp.fsum(c * mp.log(q) for q, c in counts.items()) + mpq(exact.e_power)
+        scale = max(1, abs(want))
+        assert abs(vector - want) <= scale * mp.mpf(2) ** -(p + 32)
+        assert abs(as_mpf(got) - want) <= scale * mp.mpf(2) ** (1 - p)
+
+
+@pytest.mark.parametrize("name", ["KT1", "GS53R", "HOLCOMBE"])
+def test_session_bits_do_not_depend_on_the_request_order(name):
+    spec = pr.builtin(name)
+    p, ns = 200, [3, 17, 40, 41, 90]
+    fresh = {(n, q): pr.log_partial(spec, n, q).raw for n in ns for q in (p, p + 64)}
+    higher_first = pr.ProductEvalSession(spec)
+    for n in ns:
+        assert higher_first.log_partial(n, p + 64).raw == fresh[n, p + 64]
+        assert higher_first.log_partial(n, p).raw == fresh[n, p]
+    backward = pr.ProductEvalSession(spec)
+    for n in reversed(ns):
+        assert backward.log_partial(n, p).raw == fresh[n, p]
+        assert backward.log_partial(n, p + 64).raw == fresh[n, p + 64]
+
+
+# GS53R's bridge on a walk of one trivial factor: GS53R's own factors exhaust
+# the oracle's integer budget long before n = 240000
+_GS53R_BRIDGE_ONLY = """
+    name = GS53R-bridge
+    factor = 1
+    exponent = 0
+    k_start = 480000
+    upper = 2*n
+    bridge = (2*n+2)^(4*n+5)/(2*n+1)^(12*n+9) ; n ; 0
+"""
+
+
+def test_gs53r_bridge_log_past_the_exact_power_cap_matches_mpmath():
+    # (2n+2)^(4n+5)/(2n+1)^(12n+9) at n = 240000 has about 2^26 bits, past
+    # the exact-power cap; its log form never builds it
+    n, p = 240_000, 256
+    spec = pr.parse_product_spec(_GS53R_BRIDGE_ONLY)
+    assert spec.bridge_log(n) == pr.builtin("GS53R").bridge_log(n)
+    got = pr.log_partial(spec, n, p)
+    with mp.workprec(p + 64):
+        want = n * ((4 * n + 5) * mp.log(2 * n + 2) - (12 * n + 9) * mp.log(2 * n + 1))
+        assert abs(as_mpf(got) - want) <= abs(want) * mp.mpf(2) ** (1 - p)
+
+
+def test_partial_exact_still_refuses_the_bridge_past_the_exact_power_cap():
+    with pytest.raises(OracleRangeError, match="exact power"):
+        pr.builtin("GS53R").bridge(240_000)
+    with pytest.raises(OracleRangeError, match="exact power"):
+        pr.partial_exact(pr.parse_product_spec(_GS53R_BRIDGE_ONLY), 240_000)
 
 
 def test_a_divergent_limit_stops_after_two_rounds(monkeypatch):
