@@ -24,6 +24,8 @@ PRODUCT = "PRODUCT"
 GAMMA_SERIES = "GAMMA_SERIES"
 BARNES_CLOSED = "BARNES_CLOSED"
 D_ROUTES = (PRODUCT, GAMMA_SERIES, BARNES_CLOSED)
+# phi_sderiv's released route
+HURWITZ_SPLIT = "HURWITZ_SPLIT"
 
 
 @dataclass(frozen=True)
@@ -215,6 +217,13 @@ def D(x, route: str, p: int, target_digits: int) -> Real:
     exp(x + gamma'_x(-1) - gamma_x(-1)); BARNES_CLOSED composes the
     half-parameter closed form with the e^x trailing-factor bridge. The
     routes validate each other; none is trusted alone.
+
+    The three routes share no machinery: neither PRODUCT nor GAMMA_SERIES
+    touches the Hurwitz zeta.  BARNES_CLOSED does, through ln_barnesG's
+    Hurwitz form, and zeta'(-1) does not cancel between its ln G terms.
+    zeta'(-1) is also the primary route of LN_GLAISHER, so a BARNES_CLOSED
+    value checked against a `glaisher` expression shares that term with
+    it; the packaged registry holds no such pair, and a test keeps it so.
     """
     _check_target(target_digits)
     if route not in D_ROUTES:

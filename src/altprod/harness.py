@@ -228,6 +228,15 @@ def load_registry(path: Optional[str] = None) -> Registry:
 # verification
 
 
+def _route_label(form) -> str:
+    """The route a non-product LHS runs, which its report names."""
+    if form[0] == "dfunc":
+        return form[1]
+    if form[0] == "lerch":
+        return ef.HURWITZ_SPLIT
+    return ef.BARNES_CLOSED  # csratio
+
+
 def _eval_lhs(form, rec_method: str, p: int, target_digits: int,
               method: Optional[str], max_terms: Optional[int]):
     """Returns (value, terms_used, method_label)."""
@@ -241,17 +250,17 @@ def _eval_lhs(form, rec_method: str, p: int, target_digits: int,
         return est.value, est.terms_used, est.method
     if kind == "dfunc":
         value = ef.D(form[2], form[1], p, target_digits)
-        return value, 0, rec_method
-    if kind == "lerch":
+    elif kind == "lerch":
         value = ef.phi_sderiv(form[1], p, target_digits)
-        return value, 0, rec_method
-    # csratio: exp(ln_barnesG(3/4) - ln_barnesG(1/4) - ln_gamma(1/4))
-    w = p + 16
-    acc = nk.sub(
-        zg.ln_barnesG(Fraction(3, 4), w), zg.ln_barnesG(Fraction(1, 4), w), w
-    )
-    acc = nk.sub(acc, zg.ln_gamma(Fraction(1, 4), w), w)
-    return nk.exp(acc, w).at(p), 0, rec_method
+    else:
+        # csratio: exp(ln_barnesG(3/4) - ln_barnesG(1/4) - ln_gamma(1/4))
+        w = p + 16
+        acc = nk.sub(
+            zg.ln_barnesG(Fraction(3, 4), w), zg.ln_barnesG(Fraction(1, 4), w), w
+        )
+        acc = nk.sub(acc, zg.ln_gamma(Fraction(1, 4), w), w)
+        value = nk.exp(acc, w).at(p)
+    return value, 0, _route_label(form)
 
 
 def verify(
@@ -285,7 +294,7 @@ def verify(
     t0 = time.perf_counter()
     reason = None
     terms_used = 0
-    method_label = (method or rec.method).upper() if form[0] == "product" else rec.method
+    method_label = (method or rec.method).upper() if form[0] == "product" else _route_label(form)
     lhs_txt = ""
     rhs_txt = ""
     agreement = 0
@@ -356,7 +365,7 @@ def verify_all(
     list is in registry order regardless of completion order.
 
     ``method`` and ``max_terms`` apply to the product records only; every
-    other record runs its own route and reports its registry method.
+    other record runs its own route and reports that route's name.
     """
     reg = default_registry() if registry is None else registry
     ids = reg.ids()

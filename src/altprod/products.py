@@ -384,42 +384,44 @@ def builtin(name: str, x=None) -> BridgedProductSpec:
 def partial_exact(spec: BridgedProductSpec, n: int) -> ExactPartial:
     """The n-th partial product, exactly, by direct multiplication.
 
-    The cost estimate (bits of the accumulated numerator and denominator) is
-    checked before each multiplication; exceeding the budget raises
-    OracleRangeError rather than grinding through gigantic integers.
+    The whole cost estimate (bits of every factor power and of the bridge
+    power) is added up before the first multiplication; exceeding the budget
+    raises OracleRangeError rather than grinding through gigantic integers.
     """
     if n < 0:
         raise SpecError("partial index must be >= 0")
-    upper = spec.upper_index(n)
+    # (f(k), m_k, e-exponent) of every admitted k, so no factor is evaluated twice
+    terms = []
+    est_bits = 0
+    for k in range(spec.k_start, spec.upper_index(n) + 1):
+        m = spec.exponent(k)
+        f = spec.factor(k) if m else None
+        terms.append((f, m, spec.e_exponent(k)))
+        if m:
+            est_bits += abs(m) * (f.numerator.bit_length() + f.denominator.bit_length())
+            if est_bits > ORACLE_BITS_CAP:
+                break
+    br = None
+    if est_bits <= ORACLE_BITS_CAP:
+        br = spec.bridge(n)
+        if br is not None:
+            base, power, _ = br
+            est_bits += abs(power) * (base.numerator.bit_length() + base.denominator.bit_length())
+    if est_bits > ORACLE_BITS_CAP:
+        raise OracleRangeError(
+            f"{spec.name}: exact partial at n={n} exceeds the integer budget"
+        )
     rational = Fraction(1)
     e_power = Fraction(0)
-    est_bits = 0.0
-    for k in range(spec.k_start, upper + 1):
-        f = spec.factor(k)
-        m = spec.exponent(k)
-        e_power += spec.e_exponent(k)
-        if m == 0:
-            continue
-        est_bits += abs(m) * (f.numerator.bit_length() + f.denominator.bit_length())
-        if est_bits > ORACLE_BITS_CAP:
-            raise OracleRangeError(
-                f"{spec.name}: exact partial at n={n} exceeds the integer budget"
-            )
-        rational *= Fraction(f.numerator**m if m > 0 else f.denominator**-m,
-                             f.denominator**m if m > 0 else f.numerator**-m)
-    br = spec.bridge(n)
+    for f, m, e in terms:
+        e_power += e
+        if m:
+            rational *= Fraction(f.numerator**m if m > 0 else f.denominator**-m,
+                                 f.denominator**m if m > 0 else f.numerator**-m)
     if br is not None:
         base, power, epower = br
         e_power += epower
-        if power:
-            est_bits += abs(power) * (
-                base.numerator.bit_length() + base.denominator.bit_length()
-            )
-            if est_bits > ORACLE_BITS_CAP:
-                raise OracleRangeError(
-                    f"{spec.name}: exact partial at n={n} exceeds the integer budget"
-                )
-            rational *= base**power
+        rational *= base**power
     return ExactPartial(rational_part=rational, e_power=e_power)
 
 

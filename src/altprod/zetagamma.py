@@ -8,9 +8,10 @@ routine takes an explicit precision ``p`` (bits) and returns a
 Algorithms: Stirling's asymptotic series with argument raising for lnGamma;
 Euler-Maclaurin for zeta(s, a) and its s-derivative (one code path, the
 derivative carries log-weighted terms and a differentiated Pochhammer
-recurrence); a Taylor series at 1 for Barnes ln G with the argument reduced
-into [1, 2) through the multiplicative recurrence.  All inputs are exact
-rationals internally, so argument reduction costs no accuracy.
+recurrence); Adamchik's Hurwitz form for Barnes ln G,
+ln G(x) = (x - 1) ln Gamma(x) + zeta'(-1) - zeta'(-1, x), which needs no
+argument reduction.  All inputs are exact rationals internally, so argument
+raising costs no accuracy.
 """
 
 from __future__ import annotations
@@ -287,90 +288,23 @@ def zeta_sderiv(s: RealIn, p: int) -> Real:
 
 # -- Barnes G ------------------------------------------------------------------
 
-_zm1_lock = threading.Lock()
-_zm1_cache: dict = {}
-
-
-def _zeta_minus1_int(j: int, wp: int) -> Real:
-    """zeta(j) - 1 for integer j >= 2, cached at 64-bit precision buckets."""
-    bucket = ((wp + 63) // 64) * 64
-    key = (j, bucket)
-    got = _zm1_cache.get(key)
-    if got is not None:
-        return got
-    if j <= 40:
-        val = nk.sub(zeta(j, bucket + 8), to_real(1, bucket + 8), bucket + 8)
-    else:
-        # direct tail sum_{n>=2} n^{-j}; n_max from n^{-j} <= 2^{-bucket-8}
-        n_max = max(2, int(math.ceil(2 ** ((bucket + 8.0) / j))) + 1)
-        val = to_real(0, bucket + 8)
-        for n in range(2, n_max + 1):
-            val = nk.add(val, nk.pow_int(to_real(n, bucket + 8), -j, bucket + 8), bucket + 8)
-    with _zm1_lock:
-        _zm1_cache.setdefault(key, val)
-    return val
-
-
-def _ln_barnes_taylor(z: Fraction, wp: int) -> Real:
-    """ln G(1+z) for 0 <= z < 1.
-
-    The zeta coefficients are peeled down to (zeta(j)-1), whose tail closes
-    to ln(1+z); what remains converges at ratio z/2 even as z -> 1.
-    """
-    if z == 0:
-        return to_real(0, wp)
-    from .constants import constant  # deferred: constants needs this module too
-
-    zr = to_real(z, wp)
-    ln2pi = nk.add(nk.ln2(wp), nk.ln(nk.pi_ref(wp), wp), wp)
-    gam = constant("EULER_GAMMA", wp)
-
-    # (z/2)ln(2pi) - z(z+1)/2 - gamma z^2/2 + ln(1+z) - z + z^2/2
-    z2 = nk.mul(zr, zr, wp)
-    acc = nk.mul(nk.ldexp(zr, -1), ln2pi, wp)
-    acc = nk.sub(acc, nk.ldexp(nk.add(z2, zr, wp), -1), wp)
-    acc = nk.sub(acc, nk.ldexp(nk.mul(gam, z2, wp), -1), wp)
-    acc = nk.add(acc, nk.ln_rational(1 + z, wp), wp)
-    acc = nk.sub(acc, zr, wp)
-    acc = nk.add(acc, nk.ldexp(z2, -1), wp)
-
-    # sum_{j>=3} (-1)^{j+1} (zeta(j-1)-1) z^j / j
-    tol = nk.ldexp(to_real(1, wp), -wp - 4)
-    pw = nk.mul(z2, zr, wp)  # z^3
-    j = 3
-    while True:
-        c = _zeta_minus1_int(j - 1, wp)
-        term = nk.div(nk.mul(c, pw, wp), to_real(j, wp), wp)
-        if j % 2 == 0:
-            term = -term
-        acc = nk.add(acc, term, wp)
-        # bound the whole remaining tail by a geometric series at ratio z/2
-        if abs(term) < tol:
-            break
-        pw = nk.mul(pw, zr, wp)
-        j += 1
-        if j > 64 * wp:
-            raise NonConvergenceError("Barnes Taylor series exceeded term cap")
-    return acc
-
 
 def ln_barnesG(x: RealIn, p: int) -> Real:
-    """ln G(x) for x > 0, G the double-gamma function with G(1) = 1."""
+    """ln G(x) for x > 0, G the double-gamma function with G(1) = 1.
+
+    Adamchik's Hurwitz form ln G(x) = (x - 1) ln Gamma(x) + zeta'(-1)
+    - zeta'(-1, x) holds for every x > 0; G(1) = G(2) = G(3) = 1 return
+    exact zeros.
+    """
     xq = _as_fraction(x, "x")
     if xq <= 0:
         raise DomainError("ln_barnesG needs x > 0")
-    wp = p + 48
-    # reduce into [1, 2): G(z+1) = G(z) Gamma(z)
-    shift_logs = to_real(0, wp)
-    t = xq
-    if t < 1:
-        # ln G(x) = ln G(x+1) - lnGamma(x)
-        shift_logs = nk.sub(shift_logs, _ln_gamma_fraction(t, wp), wp)
-        t = t + 1
-    else:
-        while t >= 2:
-            t -= 1
-            shift_logs = nk.add(shift_logs, _ln_gamma_fraction(t, wp), wp)
-    val = nk.add(_ln_barnes_taylor(t - 1, wp), shift_logs, wp)
-    return val.at(p)
-
+    if xq in (1, 2, 3):
+        return to_real(0, p)
+    # the terms exceed max(1, |ln G(x)|) by a few bits at most (about
+    # x^2 ln x against x^2 ln(x)/2 for large x), well inside the guard
+    wp = p + 24
+    acc = nk.mul(to_real(xq - 1, wp), ln_gamma(xq, wp), wp)
+    acc = nk.add(acc, zeta_sderiv(-1, wp), wp)
+    acc = nk.sub(acc, hurwitz_zeta_sderiv(HurwitzQuery(-1, xq), wp), wp)
+    return acc.at(p)

@@ -7,6 +7,7 @@ from importlib import resources
 import pytest
 
 from altprod import cli
+from altprod import exprlang as ex
 from altprod import harness as hz
 from altprod import numkernel as nk
 from altprod.accel import METHODS
@@ -219,6 +220,42 @@ def test_cli_verify_override_on_a_non_product_record_exits_2(capsys):
     )
     assert code == 2 and out == ""
     assert "product records only" in err
+
+
+@pytest.mark.parametrize("rec_id,route", [
+    ("DGAMMA_ONE", "GAMMA_SERIES"),
+    ("DGAMMA_HALF", "GAMMA_SERIES"),
+    ("CS_RATIO", "BARNES_CLOSED"),
+    ("LERCH_CUBE", "HURWITZ_SPLIT"),
+    ("LERCH_CATALAN", "HURWITZ_SPLIT"),
+])
+def test_non_product_report_names_the_route_that_ran(rec_id, route):
+    report = hz.verify(rec_id, 20)
+    assert report.passed and report.method == route
+
+
+def test_cli_verify_prints_the_route_of_a_dfunc_record(capsys):
+    code, out, _ = run_cli(["verify", "DGAMMA_ONE", "--digits", "20"], capsys)
+    assert code == 0 and "method=GAMMA_SERIES" in out and "EULER" not in out
+
+
+def _constant_names(node):
+    if isinstance(node, ex.ConstRef):
+        return {node.name}
+    children = [getattr(node, a) for a in ("operand", "left", "right") if hasattr(node, a)]
+    children += getattr(node, "args", ())
+    return set().union(*map(_constant_names, children))
+
+
+def test_no_packaged_record_checks_barnes_closed_against_glaisher():
+    # ln G's Hurwitz form leaves zeta'(-1) in D's BARNES_CLOSED route, and
+    # zeta'(-1) is LN_GLAISHER's primary route: such a pair is not independent
+    reg = hz.default_registry()
+    assert "GLAISHER" in _constant_names(reg.rhs_tree("D1").root)
+    for rec in reg:
+        form = reg.lhs_form(rec.id)
+        if form[0] == "dfunc" and form[1] == "BARNES_CLOSED":
+            assert "GLAISHER" not in _constant_names(reg.rhs_tree(rec.id).root), rec.id
 
 
 def test_verify_all_applies_overrides_to_product_records_only():

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from bounded import run_bounded
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -572,6 +573,21 @@ def test_gs53r_bridge_log_past_the_exact_power_cap_matches_mpmath():
     with mp.workprec(p + 64):
         want = n * ((4 * n + 5) * mp.log(2 * n + 2) - (12 * n + 9) * mp.log(2 * n + 1))
         assert abs(as_mpf(got) - want) <= abs(want) * mp.mpf(2) ** (1 - p)
+
+
+def test_partial_exact_refuses_gs53r_at_240000_before_multiplying():
+    # the factor powers alone pass the budget at k = 162; adding up the whole
+    # estimate first refuses at once instead of building ~48 Mbit rationals
+    code = (
+        "from altprod import products as pr\n"
+        "try:\n"
+        "    pr.partial_exact(pr.builtin('GS53R'), 240_000)\n"
+        "except pr.OracleRangeError as err:\n"
+        "    print(err)\n"
+    )
+    run = run_bounded(code, budget_s=30)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "GS53R: exact partial at n=240000 exceeds the integer budget"
 
 
 def test_partial_exact_still_refuses_the_bridge_past_the_exact_power_cap():

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from bounded import cli_snippet, run_bounded
 
 from altprod import numkernel as nk
 from altprod.accel import PARTIAL_SUMS, RICHARDSON, SequenceGen, estimate_limit
@@ -273,6 +274,29 @@ def test_ln_barnesG_domain_error():
         ln_barnesG(0, P50)
     with pytest.raises(DomainError):
         ln_barnesG(Fraction(-1, 2), P50)
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 4), Fraction(3, 4), Fraction(7, 3), Fraction(2001, 2)])
+def test_ln_barnesG_against_oracle_at_300_digits(x):
+    p = nk.bits_for_digits(300)
+    with mp.workdps(340):
+        ref = mp.log(mp.barnesg(mp.mpf(x.numerator) / x.denominator))
+        check_against(ln_barnesG(x, p), ref, p)
+
+
+def test_ln_barnesG_large_integer_against_oracle():
+    # G(2000) = prod_{k=2}^{1998} k^(1999-k), about e^(1.5e7), through the Hurwitz form
+    check_against(ln_barnesG(2000, P50), mp.log(mp.barnesg(2000)), P50)
+
+
+def test_barnesG_quarter_at_300_digits_through_the_cli_returns_in_time():
+    run = run_bounded(cli_snippet("eval", "barnesG(1/4)", "--digits", "300"), budget_s=30)
+    assert run.returncode == 0, run.stderr
+    printed = run.stdout.strip()
+    with mp.workdps(340):
+        # 300 truncated significant digits of a value in (0.1, 1)
+        gap = mp.barnesg(mp.mpf(1) / 4) - mp.mpf(printed)
+        assert 0 <= gap < mp.mpf(10) ** -300
 
 
 # ---------------------------------------------------------------------------
