@@ -3,7 +3,11 @@
 digits actually achieved against the closed form, and wall time. This is
 the measurement behind shipping RICHARDSON as every product record's
 default — the doubling-order scheme reaches 40+ digits from ~64 terms,
-while WYNN and EULER plateau far short on these log-type tails.
+while WYNN plateaus far short on these log-type tails. EULER gives no
+estimate at all on the catalog products: it sums the differences of the
+log partials as an alternating series, and on these products they do not
+alternate, so every round fails with "differences of partial sums are not
+alternating".
 
 Example:
     python scripts/accel_comparison.py KT3 --digits 40 --max-terms 2048

@@ -497,6 +497,7 @@ def estimate_limit(
         raise SpecError("target_digits must be >= 1")
     goal = to_real(Fraction(1, 10**target_digits), 64)
     best: Optional[LimitEstimate] = None
+    cause = None
 
     budget = _first_budget(method, target_digits)
     while True:
@@ -527,6 +528,7 @@ def estimate_limit(
                 est = richardson_limit(seq, p, budget, order=budget - 1)
         except NonConvergenceError as e:
             est = e.best if isinstance(e.best, LimitEstimate) else None
+            cause = e
         before = best
         if est is not None and (best is None or est.error_estimate < best.error_estimate):
             best = est
@@ -548,7 +550,7 @@ def estimate_limit(
             )
         budget *= 2
     if best is None:
-        raise NonConvergenceError("no method produced an estimate")
+        raise NonConvergenceError(f"{method} produced no estimate: {cause}")
     raise NonConvergenceError(
         f"error estimate {float(best.error_estimate):.3g} above goal "
         f"10^-{target_digits} at term cap {max_terms_cap}",

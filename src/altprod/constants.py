@@ -5,10 +5,11 @@ released only when the routes agree to the full requested precision, which
 makes silently wrong digits effectively impossible.  Released values are
 memoized per (id, precision) and safe for concurrent readers.
 
-Routes:
+Routes (primary / check); the primary series are summed in integer fixed
+point, those of PI, E, CATALAN and ZETA3 by one kernel, ``_series_fixed``:
 
-- PI            Machin arctangent series in integer fixed point / AGM iteration
-- E             factorial Taylor series in integer fixed point / continued fraction
+- PI            Machin arctangent series / AGM iteration
+- E             factorial Taylor series / continued fraction
 - EULER_GAMMA   harmonic-sum Euler-Maclaurin at cut N / the same at cut 2N
 - CATALAN       binomial-sum series with an arctanh closed part / the defining
                 alternating series summed by CRVZ (``accel.alternating_sum``)
@@ -21,18 +22,21 @@ Routes:
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import numkernel as nk
+from .accel import ALTERNATING_TERMS, SequenceGen, alternating_sum
 from .numkernel import (
     NonConvergenceError,
     Real,
     SpecError,
     to_real,
 )
+from .zetagamma import HurwitzQuery, bernoulli_even, hurwitz_zeta_sderiv
 
 __all__ = [
     "CONSTANT_IDS",
@@ -65,27 +69,43 @@ _memo_lock = threading.Lock()
 _memo: dict = {}
 
 
-# -- PI --------------------------------------------------------------------------
+# -- series kernel ---------------------------------------------------------------
 
 
-def _atan_inv_fixed(k: int, wp: int) -> int:
-    """atan(1/k) * 2^wp, truncated; k >= 2."""
-    one = 1 << wp
-    x = one // k
-    k2 = k * k
-    total = x
-    n = 1
-    while x:
-        x //= k2
-        t = x // (2 * n + 1)
-        total += -t if n & 1 else t
+def _series_fixed(t0: Fraction, ratio, w: int) -> int:
+    """2^w * sum_{n>=0} t(n) in integer fixed point, where t(0) = t0 > 0 and
+    t(n+1)/t(n) = a(n)/b(n) for (a(n), b(n)) = ratio(n), b(n) > 0.
+
+    Each term is the last one times a(n)/b(n), truncated toward zero; the
+    sum stops at the first term that truncates to zero.  Error bound, for
+    |a(n)/b(n)| <= r < 1: every term is within 1/(1 - r) units of its exact
+    scaled value, each term is at most r times the last, so N <= 1 +
+    log(2^w t0)/log(1/r) of them are summed, and the exact tail after them
+    is below 1/(1 - r)^2.  The result is within (N + 1/(1 - r))/(1 - r)
+    units of 2^w * sum t(n).
+    """
+    term = (t0.numerator << w) // t0.denominator
+    total = n = 0
+    while term:
+        total += term
+        a, b = ratio(n)
+        x = term * a
+        term = x // b if x >= 0 else -(-x // b)
         n += 1
     return total
 
 
+# -- PI --------------------------------------------------------------------------
+
+
 def _pi_machin(wp: int) -> Real:
-    fix = 16 * _atan_inv_fixed(5, wp + 16) - 4 * _atan_inv_fixed(239, wp + 16)
-    return to_real(Fraction(fix, 1 << (wp + 16)), wp)
+    # 16 atan(1/5) - 4 atan(1/239), atan(1/k) = sum (-1)^n / ((2n+1) k^(2n+1))
+    w = wp + 16
+
+    def atan_inv(k: int) -> int:
+        return _series_fixed(Fraction(1, k), lambda n: (-(2 * n + 1), (2 * n + 3) * k * k), w)
+
+    return to_real(Fraction(16 * atan_inv(5) - 4 * atan_inv(239), 1 << w), wp)
 
 
 def _pi_agm(wp: int) -> Real:
@@ -111,14 +131,9 @@ def _pi_agm(wp: int) -> Real:
 
 
 def _e_taylor(wp: int) -> Real:
+    # 1 + sum_{n>=0} 1/(n+1)!
     w = wp + 16
-    t = 1 << w
-    total = t
-    k = 1
-    while t:
-        t //= k
-        total += t
-        k += 1
+    total = (1 << w) + _series_fixed(Fraction(1), lambda n: (1, n + 2), w)
     return to_real(Fraction(total, 1 << w), wp)
 
 
@@ -148,62 +163,50 @@ def _e_continued_fraction(wp: int) -> Real:
 
 
 def _gamma_harmonic_em(wp: int, cut_doubling: int) -> Real:
-    """Euler-Maclaurin on H_N with N = 2^t: gamma = H_N - ln N - 1/(2N) + tail."""
-    w = wp + 24
-    t = max(4, int(math.ceil(0.125 * w)).bit_length() + 1)
-    t += cut_doubling
-    while True:
-        N = 1 << t
-        H = Fraction(0)
-        for k in range(1, N + 1):
-            H += Fraction(1, k)
-        acc = nk.sub(to_real(H, w), nk.mul(to_real(t, w), nk.ln2(w), w), w)
-        acc = nk.sub(acc, to_real(Fraction(1, 2 * N), w), w)
-        # + sum_{k>=1} B_2k / (2k N^2k), truncated when below 2^-w
-        from .zetagamma import bernoulli_even
+    """gamma = H_N - ln N - 1/(2N) + sum_{k>=1} B_2k / (2k N^2k), N = 2^t.
 
-        k = 1
-        term_prev = None
-        ok = True
-        while True:
-            c = bernoulli_even(k) / (2 * k * Fraction(N) ** (2 * k))
-            term = to_real(c, w)
-            acc = nk.add(acc, term, w)
-            mag = abs(term)
-            if mag < nk.ldexp(to_real(1, w), -w - 4):
-                break
-            if term_prev is not None and mag >= term_prev:
-                ok = False  # N too small for the asymptotic tail
-                break
-            term_prev = mag
-            k += 1
-        if ok:
-            return acc.at(wp)
-        t += 1
+    All but ln N = t ln 2 is summed in W-bit integer fixed point: H_N as
+    sum floor(2^W/k), 1/(2N) exactly, each tail term truncated toward zero.
+    The tail is asymptotic, but t makes N > w/4, so its terms, about
+    2 (2k)!/(2k (2 pi N)^2k), shrink while 2k < 2 pi N down to about
+    e^(-2 pi N) < 2^(-9N) < 2^(-2w): they truncate to zero long before they
+    could turn, and a term that does not shrink is a fault.  The tail
+    alternates, so what is dropped is below one unit; with the N floors and
+    fewer than pi N truncated tail terms the error is below 2^(t+3) units
+    of 2^-W, that is 2^-w.
+    """
+    w = wp + 24
+    t = max(4, int(math.ceil(0.125 * w)).bit_length() + 1) + cut_doubling
+    W = w + t + 3
+    one = 1 << W
+    acc = sum(one // k for k in range(1, (1 << t) + 1)) - (one >> (t + 1))
+    prev = one  # above the first tail term, 1/(12 N^2)
+    for k in itertools.count(1):
+        b = bernoulli_even(k)
+        mag = (abs(b.numerator) << W) // (b.denominator * 2 * k << (2 * k * t))
+        if mag >= prev:
+            raise NonConvergenceError(f"Euler-Maclaurin tail stopped shrinking at k = {k}")
+        if not mag:
+            break
+        acc += mag if b > 0 else -mag
+        prev = mag
+    h = to_real(Fraction(acc, one), w)
+    return nk.sub(h, nk.mul(to_real(t, w), nk.ln2(w), w), w).at(wp)
 
 
 # -- CATALAN -----------------------------------------------------------------------
 
 
 def _catalan_binomial(wp: int) -> Real:
-    # 3/8 * sum_{n>=0} 1/(binom(2n,n) (2n+1)^2) + (pi/8) ln(2+sqrt(3))
+    # 3/8 * sum_{n>=0} 1/(binom(2n,n) (2n+1)^2) + (pi/8) ln(2+sqrt(3)),
+    # t_{n+1}/t_n = (n+1)^2 (2n+1) / ((2n+2)(2n+3)^2)
     w = wp + 24
-    term = to_real(1, w)  # n = 0
-    acc = term
-    n = 0
-    tol = nk.ldexp(to_real(1, w), -w - 4)
-    while abs(term) >= tol:
-        # t_{n+1}/t_n = (n+1)^2 (2n+1) / ((2n+2)(2n+3)^2)
-        num = (n + 1) * (n + 1) * (2 * n + 1)
-        den = (2 * n + 2) * (2 * n + 3) * (2 * n + 3)
-        term = nk.div(nk.mul(term, to_real(num, w), w), to_real(den, w), w)
-        acc = nk.add(acc, term, w)
-        n += 1
+    s = _series_fixed(Fraction(1), lambda n: ((n + 1) * (2 * n + 1), 2 * (2 * n + 3) ** 2), w)
     pi = constant("PI", w)
     s3 = nk.sqrt(to_real(3, w), w)
     lnpart = nk.ln(nk.add(to_real(2, w), s3, w), w)
     out = nk.add(
-        nk.mul(nk.ldexp(to_real(3, w), -3), acc, w),
+        to_real(Fraction(3 * s, 1 << (w + 3)), w),
         nk.mul(nk.ldexp(pi, -3), lnpart, w),
         w,
     )
@@ -212,8 +215,6 @@ def _catalan_binomial(wp: int) -> Real:
 
 def _catalan_crvz(wp: int) -> Real:
     # defining series sum (-1)^n / (2n+1)^2
-    from .accel import ALTERNATING_TERMS, SequenceGen, alternating_sum
-
     w = wp + 8
     gen = SequenceGen(
         term_at=lambda n, q: to_real(Fraction(1, (2 * n + 1) ** 2), q),
@@ -227,26 +228,17 @@ def _catalan_crvz(wp: int) -> Real:
 
 
 def _zeta3_binomial(wp: int) -> Real:
-    # (5/2) sum_{n>=1} (-1)^(n-1) / (n^3 binom(2n,n))
+    # (5/2) sum_{n>=1} (-1)^(n-1) / (n^3 binom(2n,n)),
+    # t_{n+1}/t_n = -n^3 / ((n+1)(2n+1)(2n+2))
     w = wp + 24
-    term = to_real(Fraction(1, 2), w)  # n = 1: 1/(1 * 2)
-    acc = term
-    n = 1
-    tol = nk.ldexp(to_real(1, w), -w - 4)
-    while abs(term) >= tol:
-        # |t_{n+1}/t_n| = n^3 / ((n+1)(2n+1)(2n+2))
-        num = n * n * n
-        den = (n + 1) * (2 * n + 1) * (2 * n + 2)
-        term = nk.div(nk.mul(term, to_real(-num, w), w), to_real(den, w), w)
-        acc = nk.add(acc, term, w)
-        n += 1
-    return nk.mul(nk.ldexp(to_real(5, w), -1), acc, w).at(wp)
+    s = _series_fixed(
+        Fraction(1, 2), lambda j: (-((j + 1) ** 3), 2 * (j + 2) ** 2 * (2 * j + 3)), w
+    )
+    return to_real(Fraction(5 * s, 1 << (w + 1)), wp)
 
 
 def _zeta3_crvz(wp: int) -> Real:
     # zeta(3) = (4/3) eta(3), eta(3) = sum (-1)^(n-1)/n^3
-    from .accel import ALTERNATING_TERMS, SequenceGen, alternating_sum
-
     w = wp + 8
     gen = SequenceGen(
         term_at=lambda n, q: to_real(Fraction(1, n**3), q),
@@ -262,8 +254,6 @@ def _zeta3_crvz(wp: int) -> Real:
 
 def _ln_glaisher_zderiv(wp: int) -> Real:
     # 1/12 - zeta'(-1)
-    from .zetagamma import HurwitzQuery, hurwitz_zeta_sderiv
-
     w = wp + 16
     zd = hurwitz_zeta_sderiv(HurwitzQuery(Fraction(-1), Fraction(1)), w)
     return nk.sub(to_real(Fraction(1, 12), w), zd, w).at(wp)
@@ -272,8 +262,6 @@ def _ln_glaisher_zderiv(wp: int) -> Real:
 def _ln_glaisher_zeta2(wp: int) -> Real:
     # ln A = (gamma + ln(2 pi))/12 - zeta'(2)/(2 pi^2),
     # zeta'(2) = 2 eta'(2) - (ln 2) zeta(2), eta'(2) = sum (-1)^n ln(n)/n^2
-    from .accel import ALTERNATING_TERMS, SequenceGen, alternating_sum
-
     w = wp + 24
     gen = SequenceGen(
         # first nonzero term is ln2/4 at n=2; series sum_{n>=2} (-1)^n ln n / n^2

@@ -2,8 +2,11 @@
 
 `D` is the alternating-ratio product limit; it can be computed from the
 product itself, from the parameterized-Euler-constant series at z = -1, or
-from a Barnes-G closed form. The routes share no machinery, which is the
-point: agreement between them is the correctness argument. `E` is the
+from a Barnes-G closed form. Agreement between the routes is the
+correctness argument, so each value comes from its own algorithm. They
+share one kernel, ``numkernel.PrimeLogTable``: PRODUCT's log partials go
+through it, and so does GAMMA_SERIES's directed check, but not the CRVZ sum
+that is GAMMA_SERIES's value (see `D`). `E` is the
 squared-ratio analogue. `gamma_param` / `gamma_ab` are the two
 parameterized-Euler-constant families (one is a reindexing of the other),
 and `phi_sderiv` evaluates the s-derivative of the alternating Lerch series
@@ -218,9 +221,15 @@ def D(x, route: str, p: int, target_digits: int) -> Real:
     half-parameter closed form with the e^x trailing-factor bridge. The
     routes validate each other; none is trusted alone.
 
-    The three routes share no machinery: neither PRODUCT nor GAMMA_SERIES
-    touches the Hurwitz zeta.  BARNES_CLOSED does, through ln_barnesG's
-    Hurwitz form, and zeta'(-1) does not cancel between its ln G terms.
+    What the routes share: PRODUCT's log partials and GAMMA_SERIES's
+    directed check both sum their logs through ``numkernel.PrimeLogTable``.
+    Agreement still counts, because GAMMA_SERIES's value is its CRVZ sum,
+    whose terms take ``ln_rational`` directly; the table only decides
+    whether the directed check passes, so a fault in it can move PRODUCT's
+    value but not GAMMA_SERIES's, and the two values then disagree.
+    Neither PRODUCT nor GAMMA_SERIES touches the Hurwitz zeta.
+    BARNES_CLOSED does, through ln_barnesG's Hurwitz form, and zeta'(-1)
+    does not cancel between its ln G terms.
     zeta'(-1) is also the primary route of LN_GLAISHER, so a BARNES_CLOSED
     value checked against a `glaisher` expression shares that term with
     it; the packaged registry holds no such pair, and a test keeps it so.

@@ -6,14 +6,24 @@ precisions, pin the released values against an mpmath oracle and against the
 defining series where one exists, and check decimal truncation stability.
 """
 
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altprod import numkernel as nk
-from altprod.constants import CONSTANT_IDS, REGISTRY, _ROUTES, constant, decimal_digits
+from altprod.constants import (
+    CONSTANT_IDS,
+    REGISTRY,
+    _ROUTES,
+    _series_fixed,
+    constant,
+    decimal_digits,
+)
 from altprod.numkernel import NonConvergenceError, SpecError
 
 mp.mp.dps = 160
@@ -74,6 +84,29 @@ def _mp_truncated(x, digits):
     return s[: e + 1] + "." + s[e + 1 :] if e >= 0 else "0." + "0" * (-e - 1) + s
 
 
+# SHA-256 of the released value's (sign, mantissa, exponent, bitcount) at
+# every 64-bit bucket from 64 to 1536, recorded from the routes as they were
+# before the primary series moved to integer fixed point: a route rewrite
+# must release the same bits, not merely digits that pass the oracle
+RELEASED_SHA256 = {
+    "PI": "5414eda6a2a0cc2ba1459c5305209ad65ac18bf63b88db382d109ac3ef6141a3",
+    "E": "1e3461ddfce89b4b0815c4dc3c38dc1fbec77582e8d94dc204771ffd8ec6bb2a",
+    "EULER_GAMMA": "3e9cc192b7325ae82c6f23b18310f0c30572bfcd8c0330bd0259c37065866f38",
+    "CATALAN": "cdfcf87f9cca1085e4c42a63d929ea6ca299e96379d2ce2588af4810460928dc",
+    "ZETA3": "2c8e902da62762db3f7be7117e81ddd49d38d3c289e620a03e9e4b0c418480e7",
+    "LN_GLAISHER": "89a37250dfaae6b665b1fe9145b975963f4779bd4399a2245b32e932ba2b93c8",
+}
+
+
+@pytest.mark.parametrize("cid", sorted(RELEASED_SHA256))
+def test_released_bits_are_pinned_at_every_bucket_up_to_1536(cid):
+    h = hashlib.sha256()
+    for b in range(64, 1537, 64):
+        sign, man, exp, bc = constant(cid, b).raw
+        h.update(f"{b}:{sign}:{int(man):x}:{exp}:{bc}\n".encode())
+    assert h.hexdigest() == RELEASED_SHA256[cid]
+
+
 def test_every_constant_releases_300_digits_matching_mpmath():
     for cid in CONSTANT_IDS:
         with mp.workdps(340):
@@ -124,6 +157,42 @@ def test_catalan_within_tail_bound_of_defining_series():
     bound = Fraction(1, (2 * N + 1) ** 2)
     v = constant("CATALAN", nk.bits_for_digits(100)).to_fraction()
     assert abs(v - partial) <= bound + slack
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point series kernel behind the primary routes
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    t0=st.fractions(min_value=Fraction(1, 1000), max_value=10, max_denominator=1000),
+    ratios=st.lists(
+        st.fractions(min_value=Fraction(-3, 4), max_value=Fraction(3, 4), max_denominator=60),
+        min_size=1,
+        max_size=6,
+    ),
+    w=st.integers(8, 160),
+)
+def test_series_fixed_stays_within_its_stated_bound(t0, ratios, w):
+    # t(n+1)/t(n) cycles through ``ratios``, so every ratio is at most r <= 3/4
+    r = max(abs(q) for q in ratios)
+    got = _series_fixed(
+        t0, lambda n: (ratios[n % len(ratios)].numerator, ratios[n % len(ratios)].denominator), w
+    )
+    # N: the stated cap on the terms summed, the least n with r^n T(0) < 1
+    n_cap, x = 0, Fraction((t0.numerator << w) // t0.denominator)
+    while x >= 1:
+        x *= r
+        n_cap += 1
+    # the exact partial sum, taken until the exact tail past it is below 2^-8
+    partial, term, n = Fraction(0), t0, 0
+    while term and abs(term) * (1 << w) >= Fraction(1 - r, 256):
+        partial += term
+        term *= ratios[n % len(ratios)]
+        n += 1
+    tail = abs(term) * (1 << w) / (1 - r)
+    bound = (n_cap + 1 / (1 - r)) / (1 - r)
+    assert abs(got - partial * (1 << w)) <= bound + tail
 
 
 # ---------------------------------------------------------------------------

@@ -468,6 +468,14 @@ def test_cli_verify_failure_exit_code(capsys):
     assert "FAIL" in out and "reason:" in out
 
 
+def test_cli_verify_failure_names_why_no_estimate_was_produced(capsys):
+    # KT1's log partials are one-signed, so EULER's alternating adapter
+    # refuses them in every round; the report must say so
+    code, out, _ = run_cli(["verify", "KT1", "--method", "euler"], capsys)
+    assert code == 1
+    assert "reason:" in out and "not alternating" in out
+
+
 def test_cli_verify_all_json(capsys):
     code, out, _ = run_cli(["verify", "all", "--digits", "20", "--json"], capsys)
     assert code == 0
