@@ -411,6 +411,11 @@ def _raw_limit(seq: SequenceGen, p: int, max_terms: int) -> LimitEstimate:
     )
 
 
+class _NotAlternating(NonConvergenceError):
+    """The differences of partial sums break the alternation at an index
+    below the budget, which every larger budget evaluates again."""
+
+
 def _as_alternating(seq: SequenceGen, p: int):
     """Partial sums -> (base, sign, alternating |difference| generator).
 
@@ -427,7 +432,7 @@ def _as_alternating(seq: SequenceGen, p: int):
         d = nk.sub(b, a, q)
         expect = sign if j % 2 == 0 else -sign
         if not d.is_zero() and d.sign() != expect:
-            raise NonConvergenceError(
+            raise _NotAlternating(
                 f"differences of partial sums are not alternating at index {j}"
             )
         return abs(d)
@@ -487,9 +492,11 @@ def estimate_limit(
     drops below 10^-target_digits.
 
     Richardson starts at the budget its node rate predicts for the target;
-    the other methods start at 64.  Doubling stops at the cap, or as soon as
+    the other methods start at 64.  Doubling stops at the cap, as soon as
     the last doubling shows the goal out of reach (see ``_within_reach``),
-    so a sequence that does not converge costs a bounded number of rounds.
+    or when EULER's first round finds the differences of the partial sums
+    not alternating; so a sequence that does not converge costs a bounded
+    number of rounds.
     """
     if method not in METHODS:
         raise SpecError(f"unknown method {method!r}")
@@ -500,6 +507,7 @@ def estimate_limit(
     cause = None
 
     budget = _first_budget(method, target_digits)
+    first_round = True
     while True:
         budget = min(budget, max_terms_cap)
         try:
@@ -529,6 +537,12 @@ def estimate_limit(
         except NonConvergenceError as e:
             est = e.best if isinstance(e.best, LimitEstimate) else None
             cause = e
+            # a refusal in the first round recurs in every later one; after a
+            # round that got past it, a refusal says the signs moved with the
+            # working precision, and the doubling goes on
+            if isinstance(e, _NotAlternating) and first_round:
+                break
+        first_round = False
         before = best
         if est is not None and (best is None or est.error_estimate < best.error_estimate):
             best = est

@@ -11,8 +11,12 @@ closed: six named constants, eight functions, no variables.
 The fields of a product spec are written in the same grammar, as exact
 rational functions of one integer variable: `compile_field` binds that
 variable, admits no other name, and compiles the tree once into a function
-from an int to a `Fraction`; `compile_powers` gives the same field's log
-form, its integer powers as (integer, exponent) pairs.
+from an int to a `Fraction`; `compile_exact` gives the same function without
+the `Fraction` wrapper, or the value itself when the tree does not use the
+variable, and `compile_powers` gives the field's log form, its integer
+powers as (integer, exponent) pairs.  The compiled form keeps integral
+values as ints, tests the parity of the exponent of (+-1)^<expr>, and
+raises an expression to a constant power directly.
 """
 
 import dataclasses
@@ -524,19 +528,47 @@ def _exact_div(a, b):
     return a / b
 
 
-def _exact_pow(a, e):
-    if e.denominator != 1:
-        raise SpecError("exponent in ^ must be an integer")
-    e = e.numerator
+def _integral(e) -> int:
+    if type(e) is not int:
+        if e.denominator != 1:
+            raise SpecError("exponent in ^ must be an integer")
+        e = e.numerator
+    return e
+
+
+def _check_power_size(a, e: int) -> None:
     # floor(log2) of the larger part; 0 for a = +-1, whose powers stay small
     log2_a = max(a.numerator.bit_length(), a.denominator.bit_length()) - 1
     if abs(e) * log2_a > _MAX_EXACT_BITS:
         raise OracleRangeError("exact power exceeds the supported range")
+
+
+def _exact_pow(a, e):
+    e = _integral(e)
+    _check_power_size(a, e)
     if e >= 0:
         return a ** e
     if not a:
         raise SpecError("division by zero in expression")
     return Fraction(a) ** e
+
+
+def _sign_pow(a: int, f):
+    """`a^f(x)` for a constant a = +-1: a parity test, with `_exact_pow`'s
+    value (as an int) and its refusal of a non-integral exponent."""
+    return lambda x: a if _integral(f(x)) & 1 else 1
+
+
+def _const_pow(f, e: int):
+    """`f(x)^e` for a constant integer e >= 0, with `_exact_pow`'s value and
+    its size cap."""
+
+    def power(x):
+        a = f(x)
+        _check_power_size(a, e)
+        return a ** e
+
+    return power
 
 
 _EXACT_OPS = {
@@ -565,8 +597,12 @@ def _compile(node: Node):
         if not callable(a):
             v = op(a, b)
             return v.numerator if v.denominator == 1 else v
+        if node.op == "pow" and b >= 0:
+            return _const_pow(a, b)
         return lambda x: op(a(x), b)
     if not callable(a):
+        if node.op == "pow" and a in (1, -1):
+            return _sign_pow(a, b)
         return lambda x: op(a, b(x))
     return lambda x: op(a(x), b(x))
 
@@ -606,20 +642,27 @@ def compile_field(text: str, var: str) -> Tuple[ConstExpr, Callable[[int], Fract
     return expr, run
 
 
-def _integer_pairs(v) -> list:
+def compile_exact(expr: ConstExpr):
+    """The bare compiled form of a tree from `compile_field`: its exact
+    value when the tree does not use the variable, otherwise a function from
+    the variable's value to the exact value, an int or a Fraction."""
+    return _compile(expr.root)
+
+
+def _integer_pairs(v, sign: int) -> list:
     if v.denominator == 1:
-        return [(v.numerator, 1)]
-    return [(v.numerator, 1), (v.denominator, -1)]
+        return [(v.numerator, sign)]
+    return [(v.numerator, sign), (v.denominator, -sign)]
 
 
-def _compile_powers(node: Node) -> Callable[[int], list]:
+def _compile_powers(node: Node, sign: int) -> Callable[[int], list]:
+    # `sign` is the power the enclosing quotients raise this subtree to
     if isinstance(node, Binary) and node.op in ("mul", "div"):
-        a, b = _compile_powers(node.left), _compile_powers(node.right)
-        if node.op == "mul":
-            return lambda x: a(x) + b(x)
-        return lambda x: a(x) + [(v, -m) for v, m in b(x)]
+        a = _compile_powers(node.left, sign)
+        b = _compile_powers(node.right, sign if node.op == "mul" else -sign)
+        return lambda x: a(x) + b(x)
     if isinstance(node, Binary) and node.op == "pow":
-        a, e = _compile_powers(node.left), _compile(node.right)
+        a, e = _compile_powers(node.left, sign), _compile(node.right)
 
         def power(x):
             k = e(x) if callable(e) else e
@@ -630,9 +673,9 @@ def _compile_powers(node: Node) -> Callable[[int], list]:
         return power
     f = _compile(node)
     if not callable(f):
-        pairs = _integer_pairs(f)
+        pairs = _integer_pairs(f, sign)
         return lambda x: pairs
-    return lambda x: _integer_pairs(f(x))
+    return lambda x: _integer_pairs(f(x), sign)
 
 
 def compile_powers(expr: ConstExpr) -> Callable[[int], list]:
@@ -645,7 +688,7 @@ def compile_powers(expr: ConstExpr) -> Callable[[int], list]:
     exactly and split into its numerator and denominator.  An integer may be
     zero or negative; the caller decides what that means.
     """
-    return _compile_powers(expr.root)
+    return _compile_powers(expr.root, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -366,11 +366,6 @@ def ln_rational(q: Rationalish, p: int) -> Real:
     return Real(libmp.mpf_log(x, wp, _RND), wp).at(p)
 
 
-# smallest-prime-factor sieves grow by doubling up to this bound; a larger
-# integer is an atom of its own
-_SIEVE_CAP = 1 << 16
-
-
 def _spf_sieve(size: int) -> array:
     """spf[x] = the smallest prime factor of x, for 2 <= x < size.
 
@@ -385,26 +380,46 @@ def _spf_sieve(size: int) -> array:
     return spf
 
 
+class _FixedLogs(dict):
+    """atom q -> round(ln q, F bits) * 2^F for one bucket F, each log taken
+    on its first lookup."""
+
+    def __init__(self, bucket: int):
+        super().__init__()
+        self.bucket = bucket
+
+    def __missing__(self, q: int) -> int:
+        # ln q > 1/2 at F bits has an exponent >= -F
+        _, man, exp, _ = ln_rational(q, self.bucket).raw
+        fixed = self[q] = man << (exp + self.bucket)
+        return fixed
+
+
 class PrimeLogTable:
     """Exact integer combinations of logs of positive integers, rounded once.
 
     An exponent vector is a dict from atom to an exact integer exponent c_q;
     ``add`` splits an integer into atoms, the primes of a smallest-prime-
-    factor sieve, or, past the sieve's cap, the integer itself.
+    factor sieve, or, from 2^SPLIT_BITS on, the integer itself.
     ``log_sum`` evaluates sum c_q ln q over one or more vectors plus an exact
-    rational offset as one exact dot product of the atoms' dyadic log
-    mantissas, rounded once.  Its working precision comes from the exact
-    vectors, so the sum's absolute error stays below 2^-(p+32) before that
-    rounding, and the atom logs are cached per precision bucket: every value
-    is a function of the vectors, the offset and p alone.
+    rational offset as one exact dot product of the atoms' fixed-point logs,
+    rounded once.  ``fixed_logs`` gives those logs: its fixed point F comes
+    from p and the bound sum |c_q| bitlen(q) of the exact vectors, so the
+    sum's absolute error stays below 2^-(p+32) before that rounding, and the
+    logs are cached per F, so every value is a function of the vectors, the
+    offset and p alone.  A caller that keeps the integer sum c_q * log q
+    itself (``products.ProductEvalSession``) adds the logs of the atoms that
+    changed, and stays equal to ``log_sum`` because integer sums are exact.
 
     The sieve and the log cache belong to one table; a table serves one
     evaluation run and is not shared across threads.
     """
 
+    SPLIT_BITS = 16
+
     def __init__(self):
         self._spf = array("I")
-        self._fixed_logs = {}  # bucket F -> {atom: round(ln atom, F bits) * 2^F}
+        self._fixed_logs = {}  # bucket F -> _FixedLogs(F)
 
     def add(self, counts: dict, x: int, m: int) -> None:
         """Add m times the atom exponents of the integer x >= 1 to counts."""
@@ -422,27 +437,32 @@ class PrimeLogTable:
             x //= q
             counts[q] = counts.get(q, 0) + m
 
-    def log_sum(self, p: int, vectors, offset: Rationalish = 0) -> Real:
-        """sum over the vectors of sum c_q ln q, plus offset, rounded once to p bits."""
-        bound = sum(abs(c) * q.bit_length() for counts in vectors for q, c in counts.items())
+    def fixed_logs(self, p: int, bound: int) -> _FixedLogs:
+        """The atom logs for a dot product rounded to p bits whose vectors
+        have sum |c_q| bitlen(q) = bound: a mapping atom -> round(ln q * 2^F),
+        with the fixed point F in its ``bucket``."""
         # at F >= wp bits each atom log is off by at most 2^-F ln q, and
         # ln q < bitlen(q), so the dot product is off by less than
         # bound * 2^-F <= 2^-(p+32); F rounds wp up to a multiple of 64, so
         # requests whose vectors differ by a few bits share one set of logs
         wp = p + 32 + bound.bit_length()
         bucket = -(-wp // 64) * 64
-        table = self._fixed_logs.setdefault(bucket, {})
-        total = 0
-        for counts in vectors:
-            for q, c in counts.items():
-                if c:
-                    fixed = table.get(q)
-                    if fixed is None:
-                        # ln q > 1/2 at `bucket` bits has an exponent >= -bucket
-                        _, man, exp, _ = ln_rational(q, bucket).raw
-                        fixed = table[q] = man << (exp + bucket)
-                    total += c * fixed
-        return to_real(Fraction(total, 1 << bucket) + offset, p)
+        logs = self._fixed_logs.get(bucket)
+        if logs is None:
+            logs = self._fixed_logs[bucket] = _FixedLogs(bucket)
+        return logs
+
+    def log_sum(self, p: int, vectors, offset: Rationalish = 0) -> Real:
+        """sum over the vectors of sum c_q ln q, plus offset, rounded once to p bits."""
+        bound = sum(abs(c) * q.bit_length() for counts in vectors for q, c in counts.items())
+        logs = self.fixed_logs(p, bound)
+        total = sum(c * logs[q] for counts in vectors for q, c in counts.items() if c)
+        return to_real(Fraction(total, 1 << logs.bucket) + offset, p)
+
+
+# smallest-prime-factor sieves grow by doubling up to this bound; a larger
+# integer is an atom of its own
+_SIEVE_CAP = 1 << PrimeLogTable.SPLIT_BITS
 
 
 def _floor_log10(v: Fraction) -> int:

@@ -12,11 +12,13 @@ rational function.
 Partial products are available in two forms: exactly, as a rational number
 times a rational power of e (the brute-force oracle, which multiplies
 directly), and in log space for the limit machinery.  The log form never
-takes a log per factor: the factors' numerators and denominators, and the
-bridge's integer powers, are split into prime exponents that add up
-exactly, and the log partial is one dot product of that exponent vector with
-the primes' logs, rounded once.  Limits are delegated to the
-sequence-acceleration module on the log-partial sequence.
+takes a log per factor and builds no factor as a `Fraction`: each factor's
+log form, its integers with exact integer exponents, adds m_k times those
+exponents to a count per integer; each integer touched since the last
+request is split into primes once, and the log partial is a running exact
+dot product of the prime exponents with the primes' fixed-point logs,
+rounded once.  Limits are delegated to the sequence-acceleration module on
+the log-partial sequence.
 
 Specs are built from a flat key-value text form; the built-in catalog goes
 through the same parser, so user-defined products follow an identical code
@@ -25,7 +27,7 @@ path.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional, Tuple, Union
 
 from . import exprlang as ex
 from . import numkernel as nk
@@ -97,6 +99,11 @@ def _compile(text: str, var: str, *, alternation=False, what: str):
     return _compile_tree(text, var, alternation=alternation, what=what)[1]
 
 
+def _compile_exact(text: str, var: str, *, alternation=False, what: str):
+    tree = _compile_tree(text, var, alternation=alternation, what=what)[0]
+    return ex.compile_exact(tree)
+
+
 # -- domain types --------------------------------------------------------------
 
 
@@ -109,6 +116,8 @@ class ExactPartial:
 
 
 _Field = Callable[[int], Fraction]
+_Pairs = Callable[[int], list]  # a field's log form (see exprlang.compile_powers)
+_Exact = Callable[[int], Union[int, Fraction]]  # see exprlang.compile_exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,17 +126,20 @@ class BridgedProductSpec:
 
     The k-indexed fields (factor, exponent, e_exponent) and the n-indexed
     fields (upper_index, bridge) are exposed as evaluation methods over the
-    compiled expressions.
+    compiled expressions; ``factor_log`` and ``bridge_log`` give the factor
+    and the bridge in log form, without building their exact values.
     """
 
     name: str
     k_start: int
     _factor: _Field = field(repr=False)
-    _exponent: _Field = field(repr=False)
-    _e_exponent: _Field = field(repr=False)
+    _factor_pairs: _Pairs = field(repr=False)
+    # the two exponents are values where they do not depend on k
+    _exponent: Union[int, Fraction, _Exact] = field(repr=False)
+    _e_exponent: Union[Fraction, _Exact] = field(repr=False)
     _upper: _Field = field(repr=False)
     # base, power, e-power, and the base's log form (see exprlang.compile_powers)
-    _bridge: Optional[Tuple[_Field, _Field, _Field, Callable[[int], list]]] = field(
+    _bridge: Optional[Tuple[_Field, _Field, _Field, _Pairs]] = field(
         repr=False, default=None
     )
 
@@ -137,14 +149,38 @@ class BridgedProductSpec:
             raise DomainError(f"{self.name}: factor at k={k} is not positive ({f})")
         return f
 
+    def factor_log(self, k: int) -> list:
+        """f(k) without its exact value: (integer, exponent) pairs whose
+        product of powers is f(k), every integer positive.
+
+        Where the pairs hold an integer <= 0, or cannot be evaluated, f(k)
+        itself is evaluated: it raises what ``factor`` raises, or is
+        positive, and the integers are taken in absolute value.
+        """
+        try:
+            pairs = self._factor_pairs(k)
+        except (SpecError, DomainError, OracleRangeError):
+            self.factor(k)  # the error that evaluating f(k) meets first
+            raise
+        for v, _ in pairs:
+            if v <= 0:
+                self.factor(k)
+                return [(abs(v), m) for v, m in pairs]
+        return pairs
+
     def exponent(self, k: int) -> int:
-        e = self._exponent(k)
-        if e.denominator != 1:
-            raise SpecError(f"{self.name}: exponent at k={k} is not an integer ({e})")
-        return e.numerator
+        e = self._exponent
+        if callable(e):
+            e = e(k)
+        if type(e) is not int:
+            if e.denominator != 1:
+                raise SpecError(f"{self.name}: exponent at k={k} is not an integer ({e})")
+            e = e.numerator
+        return e
 
     def e_exponent(self, k: int) -> Fraction:
-        return self._e_exponent(k)
+        e = self._e_exponent
+        return Fraction(e(k)) if callable(e) else e
 
     def upper_index(self, n: int) -> int:
         u = self._upper(n)
@@ -216,9 +252,11 @@ def parse_product_spec(text: str) -> BridgedProductSpec:
         raise SpecError(f"k_start must be an integer, got {fields['k_start']!r}") from None
     if k_start < 0:
         raise SpecError("k_start must be >= 0")
-    factor = _compile(fields["factor"], "k", what="factor")
-    exponent = _compile(fields["exponent"], "k", alternation=True, what="exponent")
-    e_exponent = _compile(fields.get("e_exponent", "0"), "k", what="e_exponent")
+    factor_tree, factor = _compile_tree(fields["factor"], "k", what="factor")
+    exponent = _compile_exact(fields["exponent"], "k", alternation=True, what="exponent")
+    e_exponent = _compile_exact(fields.get("e_exponent", "0"), "k", what="e_exponent")
+    if not callable(e_exponent):
+        e_exponent = Fraction(e_exponent)
     upper = _compile(fields["upper"], "n", what="upper")
     bridge = None
     if "bridge" in fields:
@@ -237,6 +275,7 @@ def parse_product_spec(text: str) -> BridgedProductSpec:
         name=name,
         k_start=k_start,
         _factor=factor,
+        _factor_pairs=ex.compile_powers(factor_tree),
         _exponent=exponent,
         _e_exponent=e_exponent,
         _upper=upper,
@@ -431,60 +470,121 @@ def partial_exact(spec: BridgedProductSpec, n: int) -> ExactPartial:
 class ProductEvalSession:
     """Incremental log-partial evaluation for one spec.
 
-    Walking the factors collects an exact exponent vector instead of adding
-    logs: the numerator and denominator of each factor f(k) are split into
-    primes by the session's own sieve, and m_k times each prime's exponent
-    is added to that prime's count, while the e-powers add up exactly.  The
-    walk goes forward or backward to the truncation index of each request,
-    so walking n upward visits each new factor once.  ``log_partial`` then
-    evaluates the counts, the bridge's pairs and the e-part as one exact dot
-    product with the atom logs, rounded once (``numkernel.PrimeLogTable``).
-    The vector does not depend on the precision, and the working precision
-    and atom logs depend only on it and p, so every value is a function of
-    (n, p) alone, whatever was requested before.  Sessions are meant for a
-    single evaluation run and are not shared across threads.
+    Walking the factors collects exact integer exponents instead of adding
+    logs.  Each step takes the factor's log form (``factor_log``) and adds
+    m_k times each pair's exponent to a count per integer; no step builds a
+    `Fraction` or takes a gcd.  Where a side of the factor may reach the
+    sieve cap, whose integers are atoms of their own, the step takes the
+    factor's reduced numerator and denominator instead, so the atoms are
+    those of f(k) however its text is written.  A constant e-exponent adds
+    up in closed form, c times the number of factors walked.  The walk
+    goes forward or backward to the truncation index of each request, so
+    walking n upward visits each new factor once.
+
+    ``log_partial`` splits each integer touched since the last request into
+    atoms once (neighbouring factors of k/(k+1) share k + 1) and keeps two
+    running values over the atom counts: the bound sum |c_q| bitlen(q) and
+    the exact integer sum c_q * log q at the last fixed point F of
+    ``numkernel.PrimeLogTable.fixed_logs``.  A request adds d * log q for
+    the atoms that changed, or recomputes the sum once when F changes; the
+    bridge's pairs are added on top, and the whole is rounded once.  Integer
+    sums are exact, so the value is the table's ``log_sum`` of the counts,
+    the bridge and the e-part, and a function of (n, p) alone, whatever was
+    requested before.  Sessions are meant for a single evaluation run and
+    are not shared across threads.
     """
 
     def __init__(self, spec: BridgedProductSpec):
         self.spec = spec
         self._logs = nk.PrimeLogTable()
-        self._counts = {}  # atom -> exact exponent over factors k_start .. next_k - 1
-        self._e = Fraction(0)
+        self._pending = {}  # integer -> exponent change since the last request
+        self._counts = {}  # atom -> exact exponent over the walked factors
+        self._bound = 0  # sum |c_q| bitlen(q) over the counts
+        self._fixed = None  # the atom logs of the running sum, at its fixed point
+        self._dot = 0  # sum c_q * fixed log of q over the counts
+        self._e = Fraction(0)  # e-powers of the walked factors, when they depend on k
         self._next_k = spec.k_start
 
-    def _step(self, k: int, sign: int):
-        spec, logs, counts = self.spec, self._logs, self._counts
-        f = spec.factor(k)
-        m = spec.exponent(k)
-        e = spec.e_exponent(k)
-        if e:
-            self._e += e if sign > 0 else -e
-        if m != 0:
-            logs.add(counts, f.numerator, sign * m)
-            logs.add(counts, f.denominator, -sign * m)
+    def _walk(self, upper: int) -> None:
+        """Walk the factors k_start .. upper, adding or taking away each
+        factor's integer counts."""
+        spec, pending = self.spec, self._pending
+        factor_log, exponent = spec.factor_log, spec.exponent
+        e_at = spec._e_exponent if callable(spec._e_exponent) else None
+        split_bits = nk.PrimeLogTable.SPLIT_BITS
+        done = self._next_k
+        if upper >= done:
+            ks, sign, after = range(done, upper + 1), 1, 1
+        else:
+            ks, sign, after = range(done - 1, upper, -1), -1, 0
+        e_sum = 0
+        try:
+            for k in ks:
+                pairs = factor_log(k)
+                up = down = 0
+                for v, c in pairs:
+                    if c > 0:
+                        up += c * v.bit_length()
+                    else:
+                        down -= c * v.bit_length()
+                if up > split_bits or down > split_bits:
+                    # a side may reach the sieve cap, past which an integer
+                    # is an atom: take f(k)'s reduced numerator and denominator
+                    f = spec.factor(k)
+                    pairs = ((f.numerator, 1), (f.denominator, -1))
+                m = exponent(k)
+                e = e_at(k) if e_at is not None else 0
+                if m:
+                    m *= sign
+                    for v, c in pairs:
+                        pending[v] = pending.get(v, 0) + c * m
+                e_sum += e
+                done = k + after
+        finally:
+            self._next_k = done
+            if e_sum:
+                self._e += e_sum if sign > 0 else -e_sum
 
     def log_partial(self, n: int, p: int) -> Real:
         if n < 0:
             raise SpecError("partial index must be >= 0")
         spec = self.spec
         upper = max(spec.upper_index(n), spec.k_start - 1)
-        while self._next_k <= upper:
-            self._step(self._next_k, 1)
-            self._next_k += 1
-        while self._next_k - 1 > upper:
-            self._next_k -= 1
-            self._step(self._next_k, -1)
-        vectors = [self._counts]
-        e_total = self._e
+        self._walk(upper)
+        if callable(spec._e_exponent):
+            e_total = self._e
+        else:
+            e_total = spec._e_exponent * (self._next_k - spec.k_start)
+        logs = self._logs
+        bridge = {}
         br = spec.bridge_log(n)
         if br is not None:
             pairs, epower = br
             e_total += epower
-            bridge = {}
             for v, m in pairs:
-                self._logs.add(bridge, v, m)
-            vectors.append(bridge)
-        return self._logs.log_sum(p, vectors, e_total)
+                logs.add(bridge, v, m)
+
+        changed = {}
+        for v, d in self._pending.items():
+            if d:
+                logs.add(changed, v, d)
+        self._pending.clear()
+        counts, bound = self._counts, self._bound
+        for q, d in changed.items():
+            c = counts.get(q, 0)
+            counts[q] = c + d
+            bound += (abs(c + d) - abs(c)) * q.bit_length()
+        self._bound = bound
+
+        bound += sum(abs(c) * q.bit_length() for q, c in bridge.items())
+        fixed = logs.fixed_logs(p, bound)
+        if fixed is self._fixed:
+            self._dot += sum(d * fixed[q] for q, d in changed.items() if d)
+        else:
+            self._fixed = fixed
+            self._dot = sum(c * fixed[q] for q, c in counts.items() if c)
+        total = self._dot + sum(c * fixed[q] for q, c in bridge.items() if c)
+        return nk.to_real(Fraction(total, 1 << fixed.bucket) + e_total, p)
 
 
 def log_partial(spec: BridgedProductSpec, n: int, p: int) -> Real:

@@ -433,6 +433,75 @@ def test_compiled_field_matches_the_constant_evaluator(text, k):
     assert abs(got - ref) <= mp.mpf(2) ** -180 * (1 + abs(ref))
 
 
+_EXPONENT_TEXTS = st.sampled_from(
+    ["k", "k/2", "k*3 - 7", "(k + 1)/(k - 2)", "k^2", "2*k/(k + 1)", "0", "5"]
+)
+
+
+def _outcome(fn, *args):
+    try:
+        v = fn(*args)
+    except (SpecError, OracleRangeError) as err:
+        return type(err), str(err)
+    return Fraction(v)
+
+
+def _exact_at(expr, k: int):
+    exact = ex.compile_exact(expr)  # the value itself when k does not occur
+    return exact(k) if callable(exact) else exact
+
+
+def _reference_pow(base: str, exponent: str, k: int):
+    # _exact_pow on the two sides, each compiled on its own
+    def run():
+        a = ex.compile_field(base, "k")[1](k)
+        e = ex.compile_field(exponent, "k")[1](k)
+        return ex._exact_pow(a.numerator if a.denominator == 1 else a, e)
+
+    return _outcome(run)
+
+
+@settings(deadline=None, max_examples=150)
+@given(sign=st.sampled_from(["1", "(-1)"]), exponent=_EXPONENT_TEXTS, k=st.integers(-6, 40))
+def test_sign_power_is_the_exact_power(sign, exponent, k):
+    # (+-1)^<expr> compiles to a parity test
+    text = f"{sign}^({exponent})"
+    expr, field = ex.compile_field(text, "k")
+    want = _reference_pow(sign, exponent, k)
+    assert _outcome(_exact_at, expr, k) == want
+    assert _outcome(field, k) == want
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    base=st.sampled_from(["k", "k - 3", "(k + 1)/(k - 2)", "2*k^2 - 50", "k/4"]),
+    power=st.sampled_from(["0", "1", "2", "3", "7", "(0-2)", "16777217"]),
+    k=st.integers(-6, 40),
+)
+def test_constant_power_is_the_exact_power(base, power, k):
+    # <expr>^<integer >= 0> is raised directly behind the exact-power cap;
+    # a negative constant keeps _exact_pow, zero base included
+    text = f"({base})^{power}"
+    expr, field = ex.compile_field(text, "k")
+    want = _reference_pow(base, power, k)
+    assert _outcome(_exact_at, expr, k) == want
+    assert _outcome(field, k) == want
+
+
+def test_fast_powers_refuse_as_the_exact_power_does():
+    # the three refusals the fast closures share with _exact_pow
+    _, half = ex.compile_field("(-1)^(k/2)", "k")
+    with pytest.raises(SpecError, match="exponent in \\^ must be an integer"):
+        half(3)
+    _, inverse = ex.compile_field("(k - 3)^(0-2)", "k")
+    with pytest.raises(SpecError, match="division by zero"):
+        inverse(3)
+    _, huge = ex.compile_field("k^16777217", "k")
+    with pytest.raises(OracleRangeError, match="exact power"):
+        huge(2)
+    assert huge(1) == 1 and huge(0) == 0
+
+
 def _power_product(pairs) -> Fraction:
     out = Fraction(1)
     for v, m in pairs:

@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from altprod import cli
+from altprod import accel, cli
 from altprod import exprlang as ex
 from altprod import harness as hz
 from altprod import numkernel as nk
@@ -474,6 +474,26 @@ def test_cli_verify_failure_names_why_no_estimate_was_produced(capsys):
     code, out, _ = run_cli(["verify", "KT1", "--method", "euler"], capsys)
     assert code == 1
     assert "reason:" in out and "not alternating" in out
+
+
+def test_euler_stops_at_the_first_refusal_of_one_signed_differences(monkeypatch):
+    # the refusal names an index below the first budget, which every larger
+    # budget evaluates again, so one round decides it
+    calls = []
+    real = accel._as_alternating
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(accel, "_as_alternating", counting)
+    report = hz.verify("KT1", 30, method="EULER")
+    assert len(calls) == 1
+    assert not report.passed
+    assert report.reason == (
+        "EULER produced no estimate: differences of partial sums are not "
+        "alternating at index 1"
+    )
 
 
 def test_cli_verify_all_json(capsys):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from bounded import run_bounded
+from bounded import cli_snippet, run_bounded
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -441,7 +441,7 @@ def _distinct_atoms(spec, ns) -> set:
 def test_one_limit_is_one_extrapolation_over_one_factor_walk(monkeypatch, name):
     spec = pr.builtin(name)
     rounds = _count_calls(monkeypatch, accel, "richardson_limit")
-    factors = _count_calls(monkeypatch, pr.BridgedProductSpec, "factor")
+    factors = _count_calls(monkeypatch, pr.BridgedProductSpec, "factor_log")
     logs = _count_calls(monkeypatch, nk, "ln_rational")
     est = pr.limit(spec, nk.bits_for_digits(100), 100)
     assert len(rounds) == 1
@@ -452,7 +452,7 @@ def test_one_limit_is_one_extrapolation_over_one_factor_walk(monkeypatch, name):
 
 def test_raw_limit_walks_the_factors_once(monkeypatch):
     spec = pr.builtin("MELZAK")
-    factors = _count_calls(monkeypatch, pr.BridgedProductSpec, "factor")
+    factors = _count_calls(monkeypatch, pr.BridgedProductSpec, "factor_log")
     logs = _count_calls(monkeypatch, nk, "ln_rational")
     with pytest.raises(NonConvergenceError):
         pr.limit(spec, nk.bits_for_digits(30), 30, method=RAW, max_terms_cap=512)
@@ -536,6 +536,111 @@ def test_exponent_vector_is_the_exact_partial(name, a, b, n):
         assert abs(as_mpf(got) - want) <= scale * mp.mpf(2) ** (1 - p)
 
 
+def _reference_counts(spec, ks) -> dict:
+    # f(k)'s reduced numerator and denominator, split into atoms, times m_k
+    logs, counts = nk.PrimeLogTable(), {}
+    for k in ks:
+        f, m = spec.factor(k), spec.exponent(k)
+        logs.add(counts, f.numerator, m)
+        logs.add(counts, f.denominator, -m)
+    return {q: c for q, c in counts.items() if c}
+
+
+def _negated_parts_spec():
+    return pr.parse_product_spec(
+        "name = negated\nfactor = (-k)/(-k-1)\nexponent = (k*(k+1)/2)*(-1)^k\n"
+        "e_exponent = -1/4\nupper = 2*n+1"
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    name=st.sampled_from(["BD_D", "ADAMCHIK_E", "ADAMCHIK_P5", "negated"]),
+    a=st.integers(min_value=-7, max_value=30),
+    b=st.integers(min_value=1, max_value=12),
+    ns=st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=4),
+)
+def test_walked_counts_are_the_split_of_the_reduced_factors(name, a, b, ns):
+    # the walk over factor_log's pairs gives the atoms of f(k)'s reduced
+    # numerator and denominator, on both sides of the sieve cap, forward
+    # and backward, and the running dot product is the table's log_sum
+    x = Fraction(a, b)
+    if name == "negated":
+        spec = _negated_parts_spec()
+    else:
+        assume({"BD_D": x > -1, "ADAMCHIK_E": abs(2 * x) < 2,
+                "ADAMCHIK_P5": 2 * x > -1}[name])
+        spec = pr.builtin(name, x)
+    session = pr.ProductEvalSession(spec)
+    p = 200
+    for n in ns:
+        got = session.log_partial(n, p)
+        ks = range(spec.k_start, spec.upper_index(n) + 1)
+        want = _reference_counts(spec, ks)
+        assert {q: c for q, c in session._counts.items() if c} == want
+        e_power = sum((spec.e_exponent(k) for k in ks), Fraction(0))
+        assert got.raw == nk.PrimeLogTable().log_sum(p, [want], e_power).raw
+
+
+def test_factor_log_takes_negated_parts_in_absolute_value():
+    spec = _negated_parts_spec()
+    assert spec.factor_log(5) == [(5, 1), (6, -1)]
+    assert spec.factor(5) == Fraction(5, 6)
+    kt1 = pr.builtin("KT1")
+    for n in (0, 7, 40):
+        assert pr.log_partial(spec, n, 160).raw == pr.log_partial(kt1, n, 160).raw
+
+
+def test_factor_log_raises_what_the_factor_raises():
+    zero = pr.parse_product_spec("name = z\nfactor = (k-3)/k\nexponent = k\nupper = 2*n")
+    with pytest.raises(DomainError, match="k=3"):
+        zero.factor_log(3)
+    pole = pr.parse_product_spec("name = p\nfactor = k/(k-3)\nexponent = k\nupper = 2*n")
+    with pytest.raises(SpecError, match="division by zero"):
+        pole.factor_log(3)
+    inner = pr.parse_product_spec(
+        "name = i\nfactor = (1/(k-3) + 1)*k\nexponent = k\nupper = 2*n"
+    )
+    with pytest.raises(SpecError, match="division by zero"):
+        inner.factor_log(3)
+    negative = pr.parse_product_spec("name = m\nfactor = (k-5)/k\nexponent = k\nupper = 2*n")
+    with pytest.raises(DomainError, match="k=2 is not positive"):
+        negative.factor_log(2)
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    name=st.sampled_from(["KT1", "KT3", "MELZAK", "GS53R", "HOLCOMBE", "evar"]),
+    ns=st.lists(st.integers(min_value=0, max_value=400), min_size=2, max_size=6),
+    boundary=st.integers(min_value=3, max_value=6),
+)
+def test_a_session_crossing_a_bucket_returns_the_fresh_values(name, ns, boundary):
+    if name == "evar":  # an e-exponent that depends on k, so it is walked
+        spec = pr.parse_product_spec(
+            "name = evar\nfactor = (k+1)/k\nexponent = k*(-1)^k\n"
+            "e_exponent = 1/(k+1)\nupper = 2*n"
+        )
+    else:
+        spec = pr.builtin(name)
+    # the bounds the smallest and the largest request hand to fixed_logs
+    probe = pr.ProductEvalSession(spec)
+    bounds, fixed_logs = [], probe._logs.fixed_logs
+    probe._logs.fixed_logs = lambda p, bound: bounds.append(bound) or fixed_logs(p, bound)
+    for n in (min(ns), max(ns)):
+        probe.log_partial(n, 64)
+    lo_bits, hi_bits = (b.bit_length() for b in bounds)
+    assume(hi_bits > lo_bits)
+    # p + 32 + hi_bits = 64*boundary + 1: the largest request needs the next
+    # fixed point up, the smallest one does not
+    p = 64 * boundary + 1 - 32 - hi_bits
+    session = pr.ProductEvalSession(spec)
+    buckets = set()
+    for n in ns:
+        assert session.log_partial(n, p).raw == pr.log_partial(spec, n, p).raw
+        buckets.add(session._fixed.bucket)
+    assert buckets == {64 * boundary, 64 * boundary + 64}
+
+
 @pytest.mark.parametrize("name", ["KT1", "GS53R", "HOLCOMBE"])
 def test_session_bits_do_not_depend_on_the_request_order(name):
     spec = pr.builtin(name)
@@ -588,6 +693,13 @@ def test_partial_exact_refuses_gs53r_at_240000_before_multiplying():
     run = run_bounded(code, budget_s=30)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "GS53R: exact partial at n=240000 exceeds the integer budget"
+
+
+def test_table_walks_past_the_sieve_cap_within_its_budget():
+    # k runs to 80001, past 2^16, where every integer is an atom of its own
+    run = run_bounded(cli_snippet("table", "KT1", "--n", "40000", "--digits", "20"), budget_s=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[1].split()[0] == "40000"
 
 
 def test_partial_exact_still_refuses_the_bridge_past_the_exact_power_cap():
