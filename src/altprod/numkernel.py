@@ -347,7 +347,7 @@ def ln_rational(q: Rationalish, p: int) -> Real:
     the working precision is boosted by the estimated cancellation before
     taking the log.
     """
-    q = Fraction(q) if not isinstance(q, int) else Fraction(q)
+    q = Fraction(q)
     if q <= 0:
         raise DomainError("ln_rational needs q > 0")
     if q == 1:
@@ -380,19 +380,135 @@ def _spf_sieve(size: int) -> array:
     return spf
 
 
-class _FixedLogs(dict):
-    """atom q -> round(ln q, F bits) * 2^F for one bucket F, each log taken
-    on its first lookup."""
+def _cover(spf: array, x: int) -> None:
+    """Grow the sieve spf in place, doubling from 256, until it holds x."""
+    if x >= len(spf):
+        size = max(len(spf), 256)
+        while size <= x:
+            size *= 2
+        spf[:] = _spf_sieve(size)
 
-    def __init__(self, bucket: int):
+
+# a wide log carries this many bits below the bucket's fixed point
+_WIDE_BITS = 32
+# primes below this bound take their wide logs from ln_rational; the
+# recurrence's series converges slowly there
+_ANCHOR = 64
+
+
+def _round_fixed(value: int, err: int, bucket: int):
+    """ln q rounded to F = bucket significant bits, times 2^F, from a wide
+    value: |value - 2^W ln q| <= err with W = F + 32, and ln q >= 1/2.
+
+    The result is the integer man << (exp + F) of ``ln_rational(q, F)``, or
+    None when the wide value cannot decide it: its binary exponent is
+    ambiguous, or it lies within err + 2^-16 ulp of a rounding boundary.
+    That margin covers the one step where ``ln_rational`` itself departs
+    from ln q: it rounds mpmath's log at F + 18 bits, off by at most 2^-18
+    ulp, to F bits.  So ln q and that log round alike whenever the value
+    clears the margin, and ln q is transcendental, never a tie.
+    """
+    wide = bucket + _WIDE_BITS
+    b = (value - err).bit_length()
+    if b != (value + err).bit_length():
+        return None
+    s = b - bucket  # one ulp at F bits, in units of 2^-W
+    rem = value & ((1 << s) - 1)
+    if abs(rem - (1 << (s - 1))) <= err + (1 << (s - 16)):
+        return None
+    return ((value >> s) + (rem >> (s - 1))) << (b - wide)
+
+
+class _FixedLogs(dict):
+    """atom q -> round(ln q, F bits) * 2^F for one bucket F: the integer
+    man << (exp + F) of ``ln_rational(q, F)``, taken on first lookup.
+
+    An atom below the sieve cap is first derived in integer fixed point at
+    W = F + 32 bits from smaller atoms, and ``_round_fixed`` rounds that
+    wide value to F bits; where it cannot decide, and for an atom at or past
+    the cap, the entry takes ``ln_rational(q, F)``.  So every entry is
+    bit-identical to ``ln_rational``'s, by construction.
+
+    The wide value V of a prime q carries an integer bound E with
+    |V - 2^W ln q| <= E:
+
+    - q < 64: V is ``ln_rational(q, W)`` exactly in units of 2^-W, and its
+      contract, relative error <= 2^(GUARD_BITS - W) with ln q < bitlen(q),
+      gives E = bitlen(q) * 2^GUARD_BITS.
+    - q >= 64: from q^2 / (q^2 - 1) = (1 + x) / (1 - x) with x = 1/m,
+      m = 2q^2 - 1,
+
+          ln q = (ln(q - 1) + ln(q + 1)) / 2 + atanh(1/m),
+
+      where q - 1 and q + 1 split over the sieve into primes below q (q is
+      odd), whose V and E add exactly.  The series
+      atanh(1/m) = sum_k 1/((2k + 1) m^(2k + 1)) runs on P_0 = floor(2^W / m),
+      P_k = floor(P_(k-1) / m^2), adding floor(P_k / (2k + 1)) until P_k = 0.
+      With X_k = 2^W / m^(2k + 1), d_k = X_k - P_k obeys
+      d_k <= d_(k-1)/m^2 + 1 - 1/m^2 < 1, so each of the n terms added is
+      low by d_k/(2k + 1) + 2k/(2k + 1) < 1, and the tail past P_n = 0 is
+      below X_n / (1 - m^-2) < 9/8.  Halving the sum of the two logs floors
+      by at most 1/2, so
+      E(q) = floor((E(q - 1) + E(q + 1)) / 2) + n + 3.
+
+    E averages its children's bounds, so it stays small (below 7,000 units
+    for every prime below 2^16 at the buckets up to 1024) against the ulp of
+    2^32 units or more, and ``_round_fixed`` falls back about once in 2^15
+    atoms.  The wide values stay in this bucket's cache; a composite
+    integer's value is the sum of its primes' and is not kept.  The sieve is
+    the table's own array, grown in place, so the cache holds no reference
+    back to its table.
+    """
+
+    def __init__(self, bucket: int, spf: array):
         super().__init__()
         self.bucket = bucket
+        self._spf = spf
+        self._wide = {}  # prime q -> (V, E)
 
     def __missing__(self, q: int) -> int:
-        # ln q > 1/2 at F bits has an exponent >= -F
-        _, man, exp, _ = ln_rational(q, self.bucket).raw
-        fixed = self[q] = man << (exp + self.bucket)
+        fixed = None
+        if 2 <= q < _SIEVE_CAP:
+            _cover(self._spf, q)
+            fixed = _round_fixed(*self._wide_log(q), self.bucket)
+        if fixed is None:
+            # ln q > 1/2 at F bits has an exponent >= -F
+            _, man, exp, _ = ln_rational(q, self.bucket).raw
+            fixed = man << (exp + self.bucket)
+        self[q] = fixed
         return fixed
+
+    def _wide_log(self, *xs: int):
+        """(V, E) of the product of the integers xs, each 1 <= x < 2^16 and
+        held by the sieve: the sums over their primes."""
+        spf, wide = self._spf, self._wide
+        value = err = 0
+        for x in xs:
+            while x > 1:
+                q = spf[x]
+                x //= q
+                entry = wide.get(q)
+                if entry is None:
+                    entry = wide[q] = self._prime_wide_log(q)
+                value += entry[0]
+                err += entry[1]
+        return value, err
+
+    def _prime_wide_log(self, q: int):
+        w = self.bucket + _WIDE_BITS
+        if q < _ANCHOR:
+            _, man, exp, _ = ln_rational(q, w).raw
+            return man << (exp + w), q.bit_length() << GUARD_BITS
+        _cover(self._spf, q + 1)
+        logs, err = self._wide_log(q - 1, q + 1)
+        m = 2 * q * q - 1
+        power = series = (1 << w) // m
+        k = 1
+        while power:
+            power = power // m // m  # floor(power / m^2); m alone divides faster
+            k += 2
+            series += power // k
+        return (logs >> 1) + series, (err >> 1) + k // 2 + 3
 
 
 class PrimeLogTable:
@@ -410,6 +526,8 @@ class PrimeLogTable:
     offset and p alone.  A caller that keeps the integer sum c_q * log q
     itself (``products.ProductEvalSession``) adds the logs of the atoms that
     changed, and stays equal to ``log_sum`` because integer sums are exact.
+    Each atom log equals ``ln_rational``'s bit for bit; below the sieve cap
+    it comes from smaller atoms' logs by the recurrence of ``_FixedLogs``.
 
     The sieve and the log cache belong to one table; a table serves one
     evaluation run and is not shared across threads.
@@ -418,7 +536,7 @@ class PrimeLogTable:
     SPLIT_BITS = 16
 
     def __init__(self):
-        self._spf = array("I")
+        self._spf = array("I")  # grown in place, shared with the log caches
         self._fixed_logs = {}  # bucket F -> _FixedLogs(F)
 
     def add(self, counts: dict, x: int, m: int) -> None:
@@ -428,10 +546,7 @@ class PrimeLogTable:
             return
         spf = self._spf
         if x >= len(spf):
-            size = max(len(spf), 256)
-            while size <= x:
-                size *= 2
-            spf = self._spf = _spf_sieve(size)
+            _cover(spf, x)
         while x > 1:
             q = spf[x]
             x //= q
@@ -449,7 +564,7 @@ class PrimeLogTable:
         bucket = -(-wp // 64) * 64
         logs = self._fixed_logs.get(bucket)
         if logs is None:
-            logs = self._fixed_logs[bucket] = _FixedLogs(bucket)
+            logs = self._fixed_logs[bucket] = _FixedLogs(bucket, self._spf)
         return logs
 
     def log_sum(self, p: int, vectors, offset: Rationalish = 0) -> Real:

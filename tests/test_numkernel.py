@@ -5,7 +5,9 @@ precision than the function under test, or from exact Fraction arithmetic
 where the quantity is rational.
 """
 
+import gc
 import math
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -404,3 +406,99 @@ def test_log_sum_bits_do_not_depend_on_earlier_requests():
     assert table.log_sum(164, [counts], Fraction(1, 3)).raw == fresh[164]
     assert table.log_sum(100, [counts], Fraction(1, 3)).raw == fresh[100]
     assert table.log_sum(100, [{}], 0).is_zero()
+
+
+# -- atom logs from the fixed-point recurrence ---------------------------------
+
+SIEVE_PRIMES = [q for q, s in enumerate(nk._spf_sieve(nk._SIEVE_CAP)) if q > 1 and s == q]
+
+
+def _fixed_logs_at(table, bucket):
+    # bound 0 puts a request at p bits into the bucket ceil((p + 32) / 64) * 64
+    logs = table.fixed_logs(bucket - 32, 0)
+    assert logs.bucket == bucket
+    return logs
+
+
+def _ln_rational_fixed(q, bucket):
+    """The entry every atom log must equal: ln_rational(q, F) as man << (exp + F)."""
+    _, man, exp, _ = nk.ln_rational(q, bucket).raw
+    return man << (exp + bucket)
+
+
+def _count_ln_rational(monkeypatch):
+    calls = []
+    real = nk.ln_rational
+
+    def counted(q, p):
+        calls.append(q)
+        return real(q, p)
+
+    monkeypatch.setattr(nk, "ln_rational", counted)
+    return calls
+
+
+@pytest.mark.parametrize("bucket", [64, 128, 256, 384, 512, 1024])
+def test_every_sieve_prime_log_equals_ln_rational(monkeypatch, bucket):
+    calls = _count_ln_rational(monkeypatch)
+    logs = _fixed_logs_at(nk.PrimeLogTable(), bucket)
+    got = {q: logs[q] for q in SIEVE_PRIMES}
+    derived = len(calls)  # the anchors below 64, and any fallback
+    monkeypatch.undo()
+    assert got == {q: _ln_rational_fixed(q, bucket) for q in SIEVE_PRIMES}
+    assert derived < 30  # the other 6,500 come from the recurrence
+
+
+@given(
+    primes=st.lists(st.sampled_from(SIEVE_PRIMES), min_size=1, max_size=6, unique=True),
+    bucket=st.integers(1, 64).map(lambda j: 64 * j),
+    order=st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None)
+def test_atom_logs_do_not_depend_on_the_request_order(primes, bucket, order):
+    table = nk.PrimeLogTable()
+    table.add({}, 1000, 1)  # a sieve built before the logs, as a walk does
+    logs = _fixed_logs_at(table, bucket)
+    shuffled = list(primes)
+    order.shuffle(shuffled)
+    got = {q: logs[q] for q in shuffled}
+    for q in primes:
+        assert got[q] == _fixed_logs_at(nk.PrimeLogTable(), bucket)[q]
+        assert got[q] == _ln_rational_fixed(q, bucket)
+
+
+def test_a_wide_log_on_a_rounding_boundary_falls_back_to_ln_rational(monkeypatch):
+    q, bucket = 101, 256
+    want = _ln_rational_fixed(q, bucket)
+    # want is ln q rounded to 256 bits, times 2^256, so 2^(t-1) <= ln q < 2^t
+    # for t = bitlen(want) - 256; in units of 2^-(256 + 32) its ulp is
+    # 2^(32 + t), and half of it above is the boundary to the next value up
+    ulp = 1 << (32 + want.bit_length() - bucket)
+    boundary = (want << 32) + ulp // 2
+    assert nk._round_fixed(boundary, 0, bucket) is None
+    # just clear of the boundary by the error bound plus 2^-16 ulp, it rounds
+    margin = 7 + (ulp >> 16)
+    assert nk._round_fixed(boundary - margin - 1, 7, bucket) == want
+    assert nk._round_fixed(boundary - margin, 7, bucket) is None
+    assert nk._round_fixed(boundary + margin + 1, 7, bucket) == want + (ulp >> 32)
+    # a wide value whose binary exponent is ambiguous
+    assert nk._round_fixed(1 << (bucket + 32 + 2), 1, bucket) is None
+
+    logs = _fixed_logs_at(nk.PrimeLogTable(), bucket)
+    logs._wide[q] = (boundary, 0)
+    calls = _count_ln_rational(monkeypatch)
+    assert logs[q] == want
+    assert calls == [q]
+
+
+def test_log_caches_hold_no_reference_back_to_their_table():
+    # without a cycle, reference counting alone frees a table and its caches
+    table = nk.PrimeLogTable()
+    table.log_sum(200, [{3: 2, 101: -1, 65537: 1}])
+    refs = [weakref.ref(table), weakref.ref(table.fixed_logs(200, 0))]
+    gc.disable()
+    try:
+        del table
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
