@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from mpmath import libmp
+
 from . import numkernel as nk
 from .numkernel import NonConvergenceError, Real, SpecError, to_real
 
@@ -557,7 +559,7 @@ def estimate_limit(
             method, before, best, goal, left
         ):
             raise NonConvergenceError(
-                f"error estimate {float(best.error_estimate):.3g} above goal "
+                f"error estimate {libmp.to_str(best.error_estimate.raw, 3)} above goal "
                 f"10^-{target_digits}, out of reach of term cap {max_terms_cap} "
                 f"at the rate doubling to {budget} terms shrank it",
                 best=best,
@@ -566,7 +568,7 @@ def estimate_limit(
     if best is None:
         raise NonConvergenceError(f"{method} produced no estimate: {cause}")
     raise NonConvergenceError(
-        f"error estimate {float(best.error_estimate):.3g} above goal "
+        f"error estimate {libmp.to_str(best.error_estimate.raw, 3)} above goal "
         f"10^-{target_digits} at term cap {max_terms_cap}",
         best=best,
     )

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from mpmath import libmp
 
@@ -366,27 +366,37 @@ def ln_rational(q: Rationalish, p: int) -> Real:
     return Real(libmp.mpf_log(x, wp, _RND), wp).at(p)
 
 
-def _spf_sieve(size: int) -> array:
-    """spf[x] = the smallest prime factor of x, for 2 <= x < size.
+def _spf_sieve(size: int, spf: Optional[array] = None) -> array:
+    """spf[x] = the smallest prime factor of x, for 2 <= x < size: a new
+    sieve, or ``spf`` extended in place by sieving only its new entries.
 
-    Every q <= sqrt(size) marks its multiples from q^2 on, largest q first,
-    so a prime dividing q overwrites q's marks and the smallest divisor
-    above 1 of each x, which is prime, is written last.
+    Every q <= sqrt(size - 1) with spf[q] = q marks its new multiples from
+    q^2 on, largest q first, so the smallest divisor above 1 of each new x,
+    which is prime, is written last.  That test holds for every prime and
+    for every q among the new entries, which no larger q divides; it skips a
+    composite below the old length, whose marks a prime dividing it would
+    overwrite.
     """
-    spf = array("I", range(size))
+    spf = array("I") if spf is None else spf
+    low = len(spf)
+    spf.extend(range(low, size))
     for q in range(math.isqrt(size - 1), 1, -1):
-        count = len(range(q * q, size, q))
-        spf[q * q :: q] = array("I", [q]) * count
+        if spf[q] == q:
+            start = max(q * q, -(-low // q) * q)
+            spf[start::q] = array("I", [q]) * len(range(start, size, q))
     return spf
 
 
 def _cover(spf: array, x: int) -> None:
-    """Grow the sieve spf in place, doubling from 256, until it holds x."""
+    """Grow the sieve spf in place to the first power of two from 256 on
+    above x."""
     if x >= len(spf):
-        size = max(len(spf), 256)
-        while size <= x:
-            size *= 2
-        spf[:] = _spf_sieve(size)
+        _spf_sieve(1 << max(8, x.bit_length()), spf)
+
+
+# integers below this bound split by the sieve, which grows to at most its
+# 2^16 four-byte entries; larger ones by trial division over its primes
+_SIEVE_CAP = 1 << 16
 
 
 # a wide log carries this many bits below the bucket's fixed point
@@ -423,8 +433,8 @@ class _FixedLogs(dict):
     """atom q -> round(ln q, F bits) * 2^F for one bucket F: the integer
     man << (exp + F) of ``ln_rational(q, F)``, taken on first lookup.
 
-    An atom below the sieve cap is first derived in integer fixed point at
-    W = F + 32 bits from smaller atoms, and ``_round_fixed`` rounds that
+    A prime below the sieve cap is first derived in integer fixed point at
+    W = F + 32 bits from smaller primes, and ``_round_fixed`` rounds that
     wide value to F bits; where it cannot decide, and for an atom at or past
     the cap, the entry takes ``ln_rational(q, F)``.  So every entry is
     bit-identical to ``ln_rational``'s, by construction.
@@ -515,8 +525,10 @@ class PrimeLogTable:
     """Exact integer combinations of logs of positive integers, rounded once.
 
     An exponent vector is a dict from atom to an exact integer exponent c_q;
-    ``add`` splits an integer into atoms, the primes of a smallest-prime-
-    factor sieve, or, from 2^SPLIT_BITS on, the integer itself.
+    ``add`` splits an integer into its primes: below 2^16 by a smallest-
+    prime-factor sieve, from 2^16 on by trial division over the sieve's
+    primes.  A rest of at least 2^32 that no sieve prime divides is kept
+    whole as an atom of its own.
     ``log_sum`` evaluates sum c_q ln q over one or more vectors plus an exact
     rational offset as one exact dot product of the atoms' fixed-point logs,
     rounded once.  ``fixed_logs`` gives those logs: its fixed point F comes
@@ -527,24 +539,36 @@ class PrimeLogTable:
     itself (``products.ProductEvalSession``) adds the logs of the atoms that
     changed, and stays equal to ``log_sum`` because integer sums are exact.
     Each atom log equals ``ln_rational``'s bit for bit; below the sieve cap
-    it comes from smaller atoms' logs by the recurrence of ``_FixedLogs``.
+    it comes from smaller primes' logs by the recurrence of ``_FixedLogs``.
 
-    The sieve and the log cache belong to one table; a table serves one
-    evaluation run and is not shared across threads.
+    The sieve, its list of primes and the log cache belong to one table; a
+    table serves one evaluation run and is not shared across threads.
     """
-
-    SPLIT_BITS = 16
 
     def __init__(self):
         self._spf = array("I")  # grown in place, shared with the log caches
+        self._primes = []  # the primes below self._scanned, in increasing order
+        self._scanned = 2
         self._fixed_logs = {}  # bucket F -> _FixedLogs(F)
 
     def add(self, counts: dict, x: int, m: int) -> None:
         """Add m times the atom exponents of the integer x >= 1 to counts."""
-        if x >= _SIEVE_CAP:
-            counts[x] = counts.get(x, 0) + m
-            return
         spf = self._spf
+        if x >= _SIEVE_CAP:
+            root = min(math.isqrt(x), _SIEVE_CAP - 1)
+            if root >= self._scanned:  # list the sieve primes up to root
+                _cover(spf, root)
+                self._primes.extend(q for q in range(self._scanned, root + 1) if spf[q] == q)
+                self._scanned = root + 1
+            for q in self._primes:
+                if x < _SIEVE_CAP or q * q > x:
+                    break
+                while x % q == 0:
+                    x //= q
+                    counts[q] = counts.get(q, 0) + m
+            if x >= _SIEVE_CAP:  # a prime, or 2^32 or more with no sieve prime
+                counts[x] = counts.get(x, 0) + m
+                return
         if x >= len(spf):
             _cover(spf, x)
         while x > 1:
@@ -573,11 +597,6 @@ class PrimeLogTable:
         logs = self.fixed_logs(p, bound)
         total = sum(c * logs[q] for counts in vectors for q, c in counts.items() if c)
         return to_real(Fraction(total, 1 << logs.bucket) + offset, p)
-
-
-# smallest-prime-factor sieves grow by doubling up to this bound; a larger
-# integer is an atom of its own
-_SIEVE_CAP = 1 << PrimeLogTable.SPLIT_BITS
 
 
 def _floor_log10(v: Fraction) -> int:

@@ -473,13 +473,13 @@ class ProductEvalSession:
     Walking the factors collects exact integer exponents instead of adding
     logs.  Each step takes the factor's log form (``factor_log``) and adds
     m_k times each pair's exponent to a count per integer; no step builds a
-    `Fraction` or takes a gcd.  Where a side of the factor may reach the
-    sieve cap, whose integers are atoms of their own, the step takes the
-    factor's reduced numerator and denominator instead, so the atoms are
-    those of f(k) however its text is written.  A constant e-exponent adds
-    up in closed form, c times the number of factors walked.  The walk
-    goes forward or backward to the truncation index of each request, so
-    walking n upward visits each new factor once.
+    `Fraction` or takes a gcd.  Every integer splits into its primes, and
+    the counts are exact integers that cancel, so the prime exponents are
+    those of f(k)'s reduced numerator and denominator however its text is
+    written.  A constant e-exponent adds up in closed form, c times the
+    number of factors walked.  The walk goes forward or backward to the
+    truncation index of each request, so walking n upward visits each new
+    factor once.
 
     ``log_partial`` splits each integer touched since the last request into
     atoms once (neighbouring factors of k/(k+1) share k + 1) and keeps two
@@ -511,7 +511,6 @@ class ProductEvalSession:
         spec, pending = self.spec, self._pending
         factor_log, exponent = spec.factor_log, spec.exponent
         e_at = spec._e_exponent if callable(spec._e_exponent) else None
-        split_bits = nk.PrimeLogTable.SPLIT_BITS
         done = self._next_k
         if upper >= done:
             ks, sign, after = range(done, upper + 1), 1, 1
@@ -521,17 +520,6 @@ class ProductEvalSession:
         try:
             for k in ks:
                 pairs = factor_log(k)
-                up = down = 0
-                for v, c in pairs:
-                    if c > 0:
-                        up += c * v.bit_length()
-                    else:
-                        down -= c * v.bit_length()
-                if up > split_bits or down > split_bits:
-                    # a side may reach the sieve cap, past which an integer
-                    # is an atom: take f(k)'s reduced numerator and denominator
-                    f = spec.factor(k)
-                    pairs = ((f.numerator, 1), (f.denominator, -1))
                 m = exponent(k)
                 e = e_at(k) if e_at is not None else 0
                 if m:

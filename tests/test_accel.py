@@ -503,6 +503,18 @@ def test_estimate_limit_wynn_refuses_30_digits_on_log_type_sequence():
     assert abs(as_mpf(best.value) - truth) < mp.mpf(10) ** -3  # stalled, not wild
 
 
+@pytest.mark.parametrize("cap, cause", [(64, "at term cap 64"), (2048, "out of reach")])
+def test_non_convergence_message_shows_an_estimate_below_the_float_range(cap, cause):
+    # partials 1 + n * 2^-1100 stop shrinking at 2^-1100 ~ 7.36e-332, which
+    # a float flushes to 0; the message keeps its mantissa
+    seq = SequenceGen(
+        term_at=lambda n, p: nk.to_real(1 + Fraction(n, 1 << 1100), p), n0=0, kind=PARTIAL_SUMS
+    )
+    with pytest.raises(NonConvergenceError, match=cause) as info:
+        estimate_limit(seq, RAW, 400, nk.bits_for_digits(400), max_terms_cap=cap)
+    assert "error estimate 7.36e-332 above goal 10^-400" in str(info.value)
+
+
 def test_estimate_limit_euler_refuses_one_signed_differences():
     # differences of the n-indexed partial sequence are one-signed, so the
     # alternating-terms adapter refuses them and no estimate is produced

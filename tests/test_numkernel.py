@@ -15,6 +15,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import isprime
 
 from altprod import numkernel as nk
 
@@ -360,16 +361,42 @@ def test_spf_sieve_holds_smallest_prime_factors():
         assert spf[x] == next(q for q in primes if x % q == 0)
 
 
+def test_sieve_grown_in_place_equals_the_sieve_built_at_once():
+    table = nk.PrimeLogTable()
+    for x in (255, 256, 1000, 40_000, 65_535):
+        table.add({}, x, 1)
+        assert len(table._spf) > x
+    assert table._spf == nk._spf_sieve(1 << 16)
+
+
 def test_prime_log_table_splits_integers_into_atoms():
     table = nk.PrimeLogTable()
     counts = {}
     table.add(counts, 360, 2)  # 2^3 3^2 5
     table.add(counts, 1, 5)
-    table.add(counts, 65537, -1)  # past the sieve cap: an atom of its own
-    table.add(counts, 2 * 65537, 3)  # composite past the cap stays whole
     table.add(counts, 65521, 1)  # the largest prime below the cap
     table.add(counts, 65534, 1)  # 2 * 7 * 31 * 151, split by the sieve
-    assert counts == {2: 7, 3: 4, 5: 2, 7: 1, 31: 1, 151: 1, 65537: -1, 131074: 3, 65521: 1}
+    assert counts == {2: 7, 3: 4, 5: 2, 7: 1, 31: 1, 151: 1, 65521: 1}
+
+    def split(x):
+        counts = {}
+        table.add(counts, x, 1)
+        return counts
+
+    assert split(65537) == {65537: 1}  # prime past the sieve cap
+    assert split(2 * 65537) == {2: 1, 65537: 1}  # split by trial division
+    # past 2^32 with no prime below the cap: kept whole
+    assert split(65537 * 65539) == {65537 * 65539: 1}
+
+
+@given(x=st.integers(1, 1 << 40), m=st.integers(-3, 3).filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_prime_log_table_counts_multiply_back(x, m):
+    counts = {}
+    nk.PrimeLogTable().add(counts, x, m)
+    assert math.prod(q ** (c // m) for q, c in counts.items()) == x
+    assert all(c % m == 0 for c in counts.values())
+    assert all(isprime(q) for q in counts if q < 1 << 32)
 
 
 atom_counts = st.dictionaries(

@@ -8,6 +8,7 @@ accelerated limits compared against independently computed closed forms.
 """
 
 import hashlib
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -425,7 +426,7 @@ def _prime_factors(x: int) -> set:
 
 def _distinct_atoms(spec, ns) -> set:
     # every prime of a factor's numerator or denominator, and of the bridge's
-    # integers; the catalog's integers here all lie below the sieve cap
+    # integers: the atoms, since every integer splits into primes
     atoms = set()
     for k in range(spec.k_start, spec.upper_index(max(ns)) + 1):
         f = spec.factor(k)
@@ -696,10 +697,28 @@ def test_partial_exact_refuses_gs53r_at_240000_before_multiplying():
 
 
 def test_table_walks_past_the_sieve_cap_within_its_budget():
-    # k runs to 80001, past 2^16, where every integer is an atom of its own
+    # k runs to 80001, past 2^16, where trial division splits every integer
     run = run_bounded(cli_snippet("table", "KT1", "--n", "40000", "--digits", "20"), budget_s=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split("\n")[1].split()[0] == "40000"
+
+
+def test_gs53r_table_past_the_sieve_cap_keeps_its_row_and_memory():
+    # k runs to 480000 and the bridge integers to 480002, all split into
+    # primes by trial division; the child reports its own peak RSS in kB
+    code = (
+        "import resource, sys\n"
+        "from altprod.cli import main\n"
+        "code = main(['table', 'GS53R', '--n', '240000', '--digits', '20'])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(code)\n"
+    )
+    run = run_bounded(code, budget_s=60)
+    assert run.returncode == 0, run.stderr
+    header, row, peak_kb = run.stdout.strip().split("\n")
+    assert row.split() == ["240000", "2.34563040097", "5"]
+    if sys.platform.startswith("linux"):  # ru_maxrss is in kB there
+        assert int(peak_kb) < 120 * 1024
 
 
 def test_partial_exact_still_refuses_the_bridge_past_the_exact_power_cap():
