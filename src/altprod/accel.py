@@ -146,11 +146,23 @@ def euler_transform_sum(terms: SequenceGen, p: int, max_terms: int) -> LimitEsti
 
     Partial transforms are the averaged-diagonal values sum_{j<=m} D^j b /
     2^(j+1); iteration stops when two successive ones agree to the requested
-    precision.  It costs O(m^2) adds for about one bit per term, so series
-    with decreasing terms go through ``alternating_sum`` instead.  It stays
-    as the ``EULER`` method of ``estimate_limit`` and for terms that grow,
-    such as the Lerch series at s <= 0, whose Abel mean it evaluates where
-    ``alternating_sum``'s hypothesis (a moment sequence) fails.
+    precision, |diag_m - diag_(m-1)| < 2^-(p+2) * max(|diag_m|, 1).  It costs
+    O(m^2) adds for about one bit per term, so series with decreasing terms
+    go through ``alternating_sum`` instead.  It stays as the ``EULER`` method
+    of ``estimate_limit`` and for terms that grow, such as the Lerch series at
+    s <= 0, whose Abel mean it evaluates where ``alternating_sum``'s
+    hypothesis (a moment sequence) fails.
+
+    The transform runs on integers in units of 2^-wp: each term is truncated
+    once to that grid, the partial sums add exactly, and each averaging level
+    floors (a + b) >> 1.  Truncating a term is off by less than one unit, and
+    the floored average of two values, each within e units of its exact
+    counterpart, is within e + 1/2; so after m + 1 terms the partial sum is
+    within m + 1 units and the level-j average within m + 1 + j/2, and the
+    diagonal value, at level m, within 3m/2 + 1 < 2 max_terms units.  With wp =
+    p + 48 + bitlen(max_terms) + the terms' probed magnitude that is below
+    2^-(p+47), far under the stop rule's 2^-(p+2).  Value and error estimate
+    are each rounded once to p bits.
     """
     if terms.kind != ALTERNATING_TERMS:
         raise SpecError("euler_transform_sum needs an ALTERNATING_TERMS sequence")
@@ -158,36 +170,34 @@ def euler_transform_sum(terms: SequenceGen, p: int, max_terms: int) -> LimitEsti
         raise SpecError("max_terms must be >= 2")
     wp = p + 48 + max_terms.bit_length() + _probe_scale_bits(terms)
     tol_bits = p + 2
+    one = 1 << wp
+
+    def at_p(x: int) -> Real:
+        return to_real(_dyadic_scaled(x, 1, -wp), p)
 
     n0 = terms.n0
     # col[j] holds the level-j average ending at the newest partial sum
     col: list = []
-    diag: list = []
-    S = to_real(0, wp)
-    sign = 1
+    S = 0
+    diag = prev = 0
     for m in range(max_terms):
-        b = terms.term_at(n0 + m, wp)
-        S = nk.add(S, b if sign > 0 else -b, wp)
-        sign = -sign
+        sign, man, exp, _ = terms.term_at(n0 + m, wp).raw
+        b = man << (exp + wp) if exp + wp >= 0 else man >> -(exp + wp)
+        S += -b if sign ^ (m & 1) else b
         new_col = [S]
-        for j in range(1, len(col) + 1):
-            new_col.append(nk.ldexp(nk.add(col[j - 1], new_col[j - 1], wp), -1))
+        for c in col:
+            new_col.append((c + new_col[-1]) >> 1)
         col = new_col
-        diag.append(col[-1])
+        prev, diag = diag, new_col[-1]
         if m >= 1:
-            err = abs(nk.sub(diag[-1], diag[-2], wp))
-            scale = abs(diag[-1])
-            tol = nk.ldexp(scale if scale > to_real(1, wp) else to_real(1, wp), -tol_bits)
-            if err < tol:
+            err = abs(diag - prev)
+            if err << tol_bits < max(abs(diag), one):
                 return LimitEstimate(
-                    value=diag[-1].at(p),
-                    error_estimate=err.at(p),
-                    terms_used=n0 + m,
-                    method=EULER,
+                    value=at_p(diag), error_estimate=at_p(err), terms_used=n0 + m, method=EULER
                 )
     best = LimitEstimate(
-        value=diag[-1].at(p),
-        error_estimate=abs(nk.sub(diag[-1], diag[-2], wp)).at(p),
+        value=at_p(diag),
+        error_estimate=at_p(abs(diag - prev)),
         terms_used=n0 + max_terms - 1,
         method=EULER,
     )

@@ -5,12 +5,14 @@ product itself, from the parameterized-Euler-constant series at z = -1, or
 from a Barnes-G closed form. Agreement between the routes is the
 correctness argument, so each value comes from its own algorithm. They
 share one kernel, ``numkernel.PrimeLogTable``: PRODUCT's log partials go
-through it, and so does GAMMA_SERIES's directed check, but not the CRVZ sum
-that is GAMMA_SERIES's value (see `D`). `E` is the
+through it, and so do GAMMA_SERIES's directed check and the zeta'(-1, x)
+heads of BARNES_CLOSED's Hurwitz form, but not the CRVZ sum that is
+GAMMA_SERIES's value (see `D`). `E` is the
 squared-ratio analogue. `gamma_param` / `gamma_ab` are the two
 parameterized-Euler-constant families (one is a reindexing of the other),
 and `phi_sderiv` evaluates the s-derivative of the alternating Lerch series
-by a Hurwitz split with an Euler-summed check route.
+by a Hurwitz split, whose zeta'(s, a) heads at integer s <= 0 go through the
+table, with an Euler-summed check route whose terms take ``ln_rational``.
 """
 
 from dataclasses import dataclass
@@ -82,24 +84,31 @@ def _alpha_coeff(alpha: Fraction, n: int, wp: int) -> Real:
 
 
 def _paired_direct_sum(t_at, weight, n0: int, terms: int, w: int) -> Real:
-    """sum_{i<terms} (-1)^i weight(n) (t - ln(1 + t)), n = n0 + i, t = t_at(n).
+    """sum_{i<terms} (-1)^i weight(n) (t - ln(1 + t)), n = n0 + i, t = num/den
+    for the integer pair (num, den) = t_at(n), den > 0, not necessarily in
+    lowest terms.
 
     The rational part is summed in fixed point with an error below
-    2^-(w+32); the log part's exponent vector over the primes of the
-    numerators and denominators of 1 + t is exact and is evaluated with the
+    2^-(w+32).  The log part, sum c (ln den - ln(den + num)), is collected as
+    one integer coefficient per distinct integer, and each integer is split
+    into primes once; that exponent vector is exact and is evaluated with the
     rational part as one dot product, rounded once to w bits.
     """
     scale = w + 32 + terms.bit_length()
-    logs = nk.PrimeLogTable()
-    counts = {}
     rational = 0  # in units of 2^-scale, each term floored
+    coeffs = {}  # integer -> its coefficient in the log part
     for i in range(terms):
         n = n0 + i
         c = weight(n) if i % 2 == 0 else -weight(n)
-        t = t_at(n)
-        rational += (c * t.numerator << scale) // t.denominator
-        logs.add(counts, t.denominator + t.numerator, -c)
-        logs.add(counts, t.denominator, c)
+        num, den = t_at(n)
+        rational += (c * num << scale) // den
+        coeffs[den + num] = coeffs.get(den + num, 0) - c
+        coeffs[den] = coeffs.get(den, 0) + c
+    logs = nk.PrimeLogTable()
+    counts = {}
+    for x, c in coeffs.items():
+        if c:
+            logs.add(counts, x, c)
     return logs.log_sum(w, [counts], Fraction(rational, 1 << scale))
 
 
@@ -148,8 +157,8 @@ def _direct_power_sum(coeff_at, n0: int, z: Fraction, weight, wp: int,
 def _z_series(what: str, z, p: int, target_digits: int, n0: int, t_at,
               coeff_at, weight=None, check_terms: int = 1024) -> Real:
     """sum_{n>=n0} weight(n) z^(n-n0) coeff(n) for z in [-1, 1) and decreasing
-    coefficients coeff(n) = t - ln(1 + t), t = t_at(n); a missing weight is 1,
-    a missing coeff_at the zero series.
+    coefficients coeff(n) = t - ln(1 + t), t = num/den for (num, den) = t_at(n);
+    a missing weight is 1, a missing coeff_at the zero series.
 
     At z = -1 the weighted terms are CRVZ-summed and the total must pass the
     directed check; inside (-1, 1) the series is summed directly to its
@@ -184,7 +193,8 @@ def gamma_param(alpha, z, p: int, target_digits: int) -> Real:
     if af <= -1:
         raise DomainError("gamma_param needs alpha > -1")
     coeff = (lambda n, w: _alpha_coeff(af, n, w)) if af else None
-    return _z_series("gamma_param", z, p, target_digits, 1, lambda n: af / n, coeff)
+    return _z_series("gamma_param", z, p, target_digits, 1,
+                     lambda n: (af.numerator, af.denominator * n), coeff)
 
 
 def gamma_param_deriv(alpha, z, p: int, target_digits: int) -> Real:
@@ -195,7 +205,8 @@ def gamma_param_deriv(alpha, z, p: int, target_digits: int) -> Real:
     coeff = (lambda n, w: _alpha_coeff(af, n, w)) if af else None
     # the weighted terms decay like 1/n, a power slower than the coefficients;
     # twice the pairs keep the check's window, the first omitted term, narrow
-    return _z_series("gamma_param_deriv", z, p, target_digits, 2, lambda n: af / n, coeff,
+    return _z_series("gamma_param_deriv", z, p, target_digits, 2,
+                     lambda n: (af.numerator, af.denominator * n), coeff,
                      weight=lambda n: n - 1, check_terms=2048)
 
 
@@ -205,7 +216,10 @@ def gamma_ab(a, b, z, p: int, target_digits: int) -> Real:
     bf = _as_fraction(b, "b")
     if af <= 0 or bf <= 0:
         raise DomainError("gamma_ab needs a > 0 and b > 0")
-    return _z_series("gamma_ab", z, p, target_digits, 0, lambda n: 1 / (af * n + bf),
+    # t = 1/(an + b) = a_den b_den / (a_num b_den n + b_num a_den)
+    t_num = af.denominator * bf.denominator
+    step, base = af.numerator * bf.denominator, bf.numerator * af.denominator
+    return _z_series("gamma_ab", z, p, target_digits, 0, lambda n: (t_num, step * n + base),
                      lambda n, w: _series_coeff(af * n + bf, w))
 
 
@@ -221,18 +235,22 @@ def D(x, route: str, p: int, target_digits: int) -> Real:
     half-parameter closed form with the e^x trailing-factor bridge. The
     routes validate each other; none is trusted alone.
 
-    What the routes share: PRODUCT's log partials and GAMMA_SERIES's
-    directed check both sum their logs through ``numkernel.PrimeLogTable``.
+    What the routes share: PRODUCT's log partials, GAMMA_SERIES's directed
+    check and BARNES_CLOSED's zeta'(-1, x) heads all sum their logs through
+    a ``numkernel.PrimeLogTable``, each through a table of its own call.
     Agreement still counts, because GAMMA_SERIES's value is its CRVZ sum,
     whose terms take ``ln_rational`` directly; the table only decides
     whether the directed check passes, so a fault in it can move PRODUCT's
-    value but not GAMMA_SERIES's, and the two values then disagree.
+    and BARNES_CLOSED's values but not GAMMA_SERIES's, and the values then
+    disagree.
     Neither PRODUCT nor GAMMA_SERIES touches the Hurwitz zeta.
     BARNES_CLOSED does, through ln_barnesG's Hurwitz form, and zeta'(-1)
     does not cancel between its ln G terms.
     zeta'(-1) is also the primary route of LN_GLAISHER, so a BARNES_CLOSED
-    value checked against a `glaisher` expression shares that term with
-    it; the packaged registry holds no such pair, and a test keeps it so.
+    value checked against a `glaisher` expression shares that term, table
+    head included, with it; the packaged registry holds no such pair, and a
+    test keeps it so. LN_GLAISHER's check route, the eta'(2) series, stays
+    on ``ln_rational``, so a fault in the table fails its dual-route gate.
     """
     _check_target(target_digits)
     if route not in D_ROUTES:

@@ -467,6 +467,12 @@ def partial_exact(spec: BridgedProductSpec, n: int) -> ExactPartial:
 # -- log-space evaluation -----------------------------------------------------------
 
 
+# a walk splits its waiting integers into atoms when more than this many
+# wait, checked after each quarter as many factors, so a long walk's buffer
+# stays small and the check costs nothing per factor
+_PENDING_CAP = 1 << 14
+
+
 class ProductEvalSession:
     """Incremental log-partial evaluation for one spec.
 
@@ -482,7 +488,10 @@ class ProductEvalSession:
     factor once.
 
     ``log_partial`` splits each integer touched since the last request into
-    atoms once (neighbouring factors of k/(k+1) share k + 1) and keeps two
+    atoms once (neighbouring factors of k/(k+1) share k + 1); a long walk
+    splits them on the way when more than ``_PENDING_CAP`` wait, so the
+    buffer stays bounded while the atom counts grow only with the primes.
+    It keeps two
     running values over the atom counts: the bound sum |c_q| bitlen(q) and
     the exact integer sum c_q * log q at the last fixed point F of
     ``numkernel.PrimeLogTable.fixed_logs``.  A request adds d * log q for
@@ -497,7 +506,8 @@ class ProductEvalSession:
     def __init__(self, spec: BridgedProductSpec):
         self.spec = spec
         self._logs = nk.PrimeLogTable()
-        self._pending = {}  # integer -> exponent change since the last request
+        self._pending = {}  # integer -> exponent change, not yet split
+        self._changed = {}  # atom -> exponent change since the last request
         self._counts = {}  # atom -> exact exponent over the walked factors
         self._bound = 0  # sum |c_q| bitlen(q) over the counts
         self._fixed = None  # the atom logs of the running sum, at its fixed point
@@ -517,21 +527,33 @@ class ProductEvalSession:
         else:
             ks, sign, after = range(done - 1, upper, -1), -1, 0
         e_sum = 0
+        chunk = _PENDING_CAP // 4
         try:
-            for k in ks:
-                pairs = factor_log(k)
-                m = exponent(k)
-                e = e_at(k) if e_at is not None else 0
-                if m:
-                    m *= sign
-                    for v, c in pairs:
-                        pending[v] = pending.get(v, 0) + c * m
-                e_sum += e
-                done = k + after
+            for start in range(0, len(ks), chunk):
+                for k in ks[start:start + chunk]:
+                    pairs = factor_log(k)
+                    m = exponent(k)
+                    e = e_at(k) if e_at is not None else 0
+                    if m:
+                        m *= sign
+                        for v, c in pairs:
+                            pending[v] = pending.get(v, 0) + c * m
+                    e_sum += e
+                    done = k + after
+                if len(pending) > _PENDING_CAP:
+                    self._split_pending()
         finally:
             self._next_k = done
             if e_sum:
                 self._e += e_sum if sign > 0 else -e_sum
+
+    def _split_pending(self) -> None:
+        """Move the waiting integers' exponent changes onto their atoms."""
+        logs, changed = self._logs, self._changed
+        for v, d in self._pending.items():
+            if d:
+                logs.add(changed, v, d)
+        self._pending.clear()
 
     def log_partial(self, n: int, p: int) -> Real:
         if n < 0:
@@ -552,11 +574,8 @@ class ProductEvalSession:
             for v, m in pairs:
                 logs.add(bridge, v, m)
 
-        changed = {}
-        for v, d in self._pending.items():
-            if d:
-                logs.add(changed, v, d)
-        self._pending.clear()
+        self._split_pending()
+        changed, self._changed = self._changed, {}
         counts, bound = self._counts, self._bound
         for q, d in changed.items():
             c = counts.get(q, 0)

@@ -189,6 +189,29 @@ def _em_zeta(s: Fraction, a: Fraction, p: int, derivative: bool) -> Real:
     raise NonConvergenceError(f"Euler-Maclaurin failed to settle for s={s}, a={a}")
 
 
+def _log_power_head(k: int, a: Fraction, N: int, wp: int) -> Real:
+    """-sum_{n<N} (n+a)^k ln(n+a) for an integer k >= 0, the head of
+    zeta'(-k, a), as one exact dot product rounded to wp bits.
+
+    With a = u/v the head is -v^-k [sum (vn+u)^k ln(vn+u) - (sum (vn+u)^k) ln v],
+    whose weights are integers, so the bracket is one exponent vector over
+    the primes of vn + u and v, evaluated by a table of this call's own.  The
+    bracket is rounded once at wp + 32 bits and the quotient once at wp bits,
+    so the head is off by at most (1 + 2^-31) 2^-wp |head|.
+    """
+    u, v = a.numerator, a.denominator
+    logs = nk.PrimeLogTable()
+    counts = {}
+    total = 0
+    for n in range(N):
+        x = v * n + u
+        w = x**k
+        logs.add(counts, x, w)
+        total += w
+    logs.add(counts, v, -total)
+    return nk.div(logs.log_sum(wp + 32, [counts]), to_real(-(v**k), wp), wp)
+
+
 def _em_zeta_once(
     s: Fraction, a: Fraction, wp: int, N: int, s_int, derivative: bool
 ) -> Real:
@@ -202,13 +225,16 @@ def _em_zeta_once(
         return nk.powr(to_real(base, wp), -sr, wp)
 
     # head: sum_{n<N} (n+a)^{-s}, log-weighted when differentiating
-    head = to_real(0, wp)
-    for n in range(N):
-        base = n + a
-        t = power_neg_s(base)
-        if derivative:
-            t = nk.mul(nk.sub(to_real(0, wp), nk.ln_rational(base, wp), wp), t, wp)
-        head = nk.add(head, t, wp)
+    if derivative and s_int is not None and s_int <= 0:
+        head = _log_power_head(-s_int, a, N, wp)
+    else:
+        head = to_real(0, wp)
+        for n in range(N):
+            base = n + a
+            t = power_neg_s(base)
+            if derivative:
+                t = nk.mul(nk.sub(to_real(0, wp), nk.ln_rational(base, wp), wp), t, wp)
+            head = nk.add(head, t, wp)
 
     Na = N + a
     lnNa = nk.ln_rational(Na, wp)

@@ -155,6 +155,47 @@ def test_euler_non_convergence_carries_best_estimate():
     assert abs(as_mpf(best.value) - mp.log(2)) < mp.mpf(10) ** -3
 
 
+def lerch_check_series(s, u):
+    """(n+u)^(-s) ln(n+u), the terms eulerfuncs.phi_sderiv's check route sums."""
+
+    def term(n, w):
+        t = nk.ln_rational(n + u, w)
+        return nk.mul(nk.exp(nk.mul(nk.to_real(-s, w), t, w), w), t, w)
+
+    return SequenceGen(term_at=term, n0=0, kind=ALTERNATING_TERMS)
+
+
+@pytest.mark.parametrize(
+    "s,u,digits,terms_used",
+    [
+        (-2, Fraction(1), 25, 93),
+        (-2, Fraction(1), 40, 140),
+        (-1, Fraction(1, 2), 25, 96),
+        (-1, Fraction(1, 2), 40, 144),
+        (Fraction(1, 3), Fraction(2, 5), 25, 100),
+        (0, Fraction(3, 4), 40, 145),
+    ],
+)
+def test_euler_transform_on_the_lerch_check_series(s, u, digits, terms_used):
+    # the check route's precision and budget; the term counts are those of
+    # the transform in mpf arithmetic, which the integer transform keeps
+    bits = nk.bits_for_digits(digits, guard=24)
+    est = euler_transform_sum(lerch_check_series(s, u), bits, 2 * bits + 240)
+    assert est.terms_used == terms_used
+    # the Abel mean is -d/ds Phi(-1, s, u), Phi(-1, s, u) = 2^-s (zeta(s, u/2)
+    # - zeta(s, (u+1)/2)); the value is off by its error estimate plus its
+    # one rounding to p bits
+    with mp.workprec(bits + 64):
+        sm = mp.mpf(Fraction(s).numerator) / Fraction(s).denominator
+        um = mp.mpf(u.numerator) / u.denominator
+        lo, hi = um / 2, (um + 1) / 2
+        two = mp.mpf(2) ** -sm
+        want = -two * (mp.zeta(sm, lo, 1) - mp.zeta(sm, hi, 1)
+                       - mp.log(2) * (mp.zeta(sm, lo) - mp.zeta(sm, hi)))
+        err = abs(as_mpf(est.value) - want)
+        assert err <= as_mpf(est.error_estimate) + abs(want) * mp.mpf(2) ** -bits
+
+
 # ---------------------------------------------------------------------------
 # Cohen-Rodriguez Villegas-Zagier alternating sum
 

@@ -269,9 +269,9 @@ def test_gamma_series_values_are_pinned_bit_for_bit(digits):
 @pytest.mark.parametrize(
     "t_at,weight,n0,terms",
     [
-        (lambda n: Fraction(1, 2 * n), lambda n: n - 1, 2, 2048),  # gamma_param_deriv at 1/2
-        (lambda n: Fraction(-1, 3 * n), lambda n: 1, 1, 1024),  # gamma_param at -1/3
-        (lambda n: 1 / (7 * n + Fraction(5, 3)), lambda n: 1, 0, 1024),  # gamma_ab(7, 5/3)
+        (lambda n: (1, 2 * n), lambda n: n - 1, 2, 2048),  # gamma_param_deriv at 1/2
+        (lambda n: (-1, 3 * n), lambda n: 1, 1, 1024),  # gamma_param at -1/3
+        (lambda n: (3, 21 * n + 5), lambda n: 1, 0, 1024),  # gamma_ab(7, 5/3)
     ],
 )
 def test_paired_direct_sum_matches_mpmath(t_at, weight, n0, terms):
@@ -280,9 +280,9 @@ def test_paired_direct_sum_matches_mpmath(t_at, weight, n0, terms):
     w = 200
     got = ef._paired_direct_sum(t_at, weight, n0, terms, w)
     with mp.workprec(w + 64):
+        ts = [mpq(Fraction(*t_at(n0 + i))) for i in range(terms)]
         want = mp.fsum(
-            (-1) ** i * weight(n0 + i) * (mpq(t_at(n0 + i)) - mp.log1p(mpq(t_at(n0 + i))))
-            for i in range(terms)
+            (-1) ** i * weight(n0 + i) * (t - mp.log1p(t)) for i, t in enumerate(ts)
         )
         assert abs(as_mpf(got) - want) <= mp.mpf(2) ** -(w + 30) + abs(want) * mp.mpf(2) ** -w
 
@@ -294,12 +294,15 @@ def test_directed_check_refuses_a_total_off_by_more_than_the_first_omitted_term(
     def term_at(n, q):
         return nk.mul(ef._alpha_coeff(alpha, n, q), nk.to_real(n - 1, q), q)
 
-    direct = as_mpf(ef._paired_direct_sum(lambda n: alpha / n, lambda n: n - 1, 2, 2048, w))
+    def t_at(n):
+        return alpha.numerator, alpha.denominator * n
+
+    direct = as_mpf(ef._paired_direct_sum(t_at, lambda n: n - 1, 2, 2048, w))
     bound = as_mpf(term_at(2 + 2048, w))
     for shift, ok in ((mp.mpf("0.9"), True), (mp.mpf("1.1"), False)):
         for sign in (1, -1):
             total = nk.Real(mp.mpf(direct + sign * shift * bound)._mpf_, wp)
-            args = (term_at, lambda n: alpha / n, lambda n: n - 1, 2, wp, total, 2048)
+            args = (term_at, t_at, lambda n: n - 1, 2, wp, total, 2048)
             if ok:
                 ef._directed_check(*args)
             else:
@@ -423,6 +426,33 @@ def test_lerch_sderiv_routes_agree(s, u):
     split = ef._phi_sderiv_split(q, nk.bits_for_digits(30))
     series = ef._phi_sderiv_series(q, nk.bits_for_digits(27, guard=24))
     assert nk.agreement_digits(split, series) >= 25
+
+
+def test_a_faulty_prime_log_table_fails_both_check_routes(monkeypatch):
+    # zeta'(-1) (LN_GLAISHER's primary) and the Hurwitz split (phi_sderiv's
+    # value) take their heads from PrimeLogTable; their check routes, the
+    # eta'(2) series and the Euler-summed Lerch series, take ln_rational.
+    # A wrong atom log must move only the primaries, and both gates refuse.
+    p = nk.bits_for_digits(30)
+    q = LerchDerivQuery(-2, 1)
+    glaisher_check = cst._ln_glaisher_zeta2(p)
+    lerch_check = ef._phi_sderiv_series(q, nk.bits_for_digits(25, guard=24))
+    fixed_log = nk._FixedLogs.__missing__
+
+    def off_by_2_to_minus_40(logs, atom):
+        value = fixed_log(logs, atom)
+        if atom == 3:
+            value = logs[atom] = value + (1 << (logs.bucket - 40))
+        return value
+
+    monkeypatch.setattr(nk._FixedLogs, "__missing__", off_by_2_to_minus_40)
+    monkeypatch.setattr(cst, "_memo", {})
+    assert cst._ln_glaisher_zeta2(p).raw == glaisher_check.raw
+    assert ef._phi_sderiv_series(q, nk.bits_for_digits(25, guard=24)).raw == lerch_check.raw
+    with pytest.raises(NonConvergenceError, match="routes for LN_GLAISHER agree"):
+        cst.constant("LN_GLAISHER", p)
+    with pytest.raises(NonConvergenceError, match="disagree"):
+        ef.phi_sderiv(q, p, 30)
 
 
 # ---------------------------------------------------------------------------

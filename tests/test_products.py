@@ -657,6 +657,21 @@ def test_session_bits_do_not_depend_on_the_request_order(name):
         assert backward.log_partial(n, p + 64).raw == fresh[n, p + 64]
 
 
+@pytest.mark.parametrize("name", ["KT1", "GS53R", "HOLCOMBE"])
+def test_a_walk_with_a_bounded_buffer_returns_the_fresh_values(monkeypatch, name):
+    # a cap of 8 splits the waiting integers every few factors of each walk,
+    # forward and backward, and leaves at most 8 waiting after it
+    spec = pr.builtin(name)
+    p, ns = 200, [90, 3, 41, 200]
+    fresh = {n: pr.log_partial(spec, n, p).raw for n in ns}
+    monkeypatch.setattr(pr, "_PENDING_CAP", 8)
+    session = pr.ProductEvalSession(spec)
+    for n in ns:
+        session._walk(spec.upper_index(n))
+        assert len(session._pending) <= 8
+        assert session.log_partial(n, p).raw == fresh[n]
+
+
 # GS53R's bridge on a walk of one trivial factor: GS53R's own factors exhaust
 # the oracle's integer budget long before n = 240000
 _GS53R_BRIDGE_ONLY = """

@@ -8,6 +8,7 @@ reflection, the Barnes recurrence) cross-check the kernel against itself
 along algorithmically unrelated code paths.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ import pytest
 from bounded import cli_snippet, run_bounded
 
 from altprod import numkernel as nk
+from altprod import zetagamma as zg
 from altprod.accel import PARTIAL_SUMS, RICHARDSON, SequenceGen, estimate_limit
 from altprod.constants import constant
 from altprod.numkernel import DomainError
@@ -226,6 +228,41 @@ def test_hurwitz_sderiv_generic_point_against_oracle():
     q = HurwitzQuery(Fraction(3, 2), Fraction(2, 5))
     ref = mp.zeta(mp.mpf(3) / 2, mp.mpf(2) / 5, 1)
     check_against(hurwitz_zeta_sderiv(q, P50), ref, P50)
+
+
+HEAD_S = (0, -1, -2, -3)
+HEAD_A = (Fraction(1), Fraction(1, 4), Fraction(3, 4), Fraction(1, 2), Fraction(7, 3))
+HEAD_P = (64, 200, 700)
+
+
+def _ln_rational_head(k, a, N, wp):
+    """-sum_{n<N} (n+a)^k ln(n+a), one ln_rational per term."""
+    head = nk.to_real(0, wp)
+    for n in range(N):
+        base = n + a
+        t = nk.mul(nk.ln_rational(base, wp), nk.pow_int(nk.to_real(base, wp), k, wp), wp)
+        head = nk.sub(head, t, wp)
+    return head
+
+
+@pytest.mark.parametrize("p", HEAD_P)
+@pytest.mark.parametrize("a", HEAD_A)
+@pytest.mark.parametrize("s", HEAD_S)
+def test_prime_log_head_equals_the_ln_rational_loop(s, a, p):
+    # the term-by-term loop at p + 64 bits is far inside 2^-p of the head
+    N = max(10, math.ceil(0.35 * p))
+    got = as_mpf(zg._log_power_head(-s, a, N, p))
+    want = as_mpf(_ln_rational_head(-s, a, N, p + 64))
+    assert abs(got - want) <= abs(want) * mp.mpf(2) ** -p
+
+
+@pytest.mark.parametrize("p", HEAD_P)
+@pytest.mark.parametrize("a", HEAD_A)
+@pytest.mark.parametrize("s", HEAD_S)
+def test_hurwitz_sderiv_at_nonpositive_integers_against_oracle(s, a, p):
+    with mp.workprec(p + 64):
+        ref = mp.zeta(s, mp.mpf(a.numerator) / a.denominator, 1)
+        check_against(hurwitz_zeta_sderiv(HurwitzQuery(s, a), p), ref, p)
 
 
 # ---------------------------------------------------------------------------
