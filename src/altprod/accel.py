@@ -351,14 +351,16 @@ def _lagrange_weights(n0: int, m: int) -> list:
     return weights
 
 
-def _node_condition_bits(n0: int, count: int) -> int:
-    """Bits of cancellation in extrapolating to 0 from nodes 1/n0 .. 1/(n0+count-1).
+def _node_condition_bits(weights: list) -> int:
+    """Bits of cancellation in extrapolating to 0 with the integer Lagrange
+    weights of ``_lagrange_weights``, whose common denominator is m!.
 
-    log2 of the largest Lagrange weight at 0, rounded up from the exact
-    integer weights, plus the bits of the weight count.
+    log2 of the largest weight at 0, rounded up from the exact integer
+    weights, plus the bits of the weight count.
     """
+    count = len(weights)
     m = count - 1
-    top = max(abs(w) for w in _lagrange_weights(n0, m))
+    top = max(abs(w) for w in weights)
     # 2^(bitlen(top) - bitlen(m!) + 1) exceeds top / m!, so this never undercounts
     weight_bits = top.bit_length() - math.factorial(m).bit_length() + 1
     return max(0, weight_bits + count.bit_length() + 4)
@@ -385,15 +387,14 @@ def richardson_limit(
     if J < 1:
         raise SpecError("max_terms must allow at least two samples")
     n0 = seq.n0
-    count = J + 1
-
-    wp = p + _node_condition_bits(n0, count) + 32
-    t = [seq.term_at(n0 + i, wp) for i in range(count)]
+    weights = _lagrange_weights(n0, J)
+    wp = p + _node_condition_bits(weights) + 32
+    t = [seq.term_at(n0 + i, wp) for i in range(J + 1)]
     if short := _all_equal_shortcut(t, RICHARDSON, n0 + J):
         return short
 
     mans, e = _common_mantissas(t)
-    full = sum(w * a for w, a in zip(_lagrange_weights(n0, J), mans))
+    full = sum(w * a for w, a in zip(weights, mans))
     lower = sum(w * a for w, a in zip(_lagrange_weights(n0, J - 1), mans))
     # the J-node value is lower / (J-1)! = J * lower / J!
     den = math.factorial(J)

@@ -535,11 +535,10 @@ class PrimeLogTable:
     from p and the bound sum |c_q| bitlen(q) of the exact vectors, so the
     sum's absolute error stays below 2^-(p+32) before that rounding, and the
     logs are cached per F, so every value is a function of the vectors, the
-    offset and p alone.  A caller that keeps the integer sum c_q * log q
-    itself (``products.ProductEvalSession``) adds the logs of the atoms that
-    changed, and stays equal to ``log_sum`` because integer sums are exact.
-    Each atom log equals ``ln_rational``'s bit for bit; below the sieve cap
-    it comes from smaller primes' logs by the recurrence of ``_FixedLogs``.
+    offset and p alone; the sum is rounded from integers, without building a
+    `Fraction`.  Each atom log equals ``ln_rational``'s bit for bit; below
+    the sieve cap it comes from smaller primes' logs by the recurrence of
+    ``_FixedLogs``.
 
     The sieve, its list of primes and the log cache belong to one table; a
     table serves one evaluation run and is not shared across threads.
@@ -596,7 +595,22 @@ class PrimeLogTable:
         bound = sum(abs(c) * q.bit_length() for counts in vectors for q, c in counts.items())
         logs = self.fixed_logs(p, bound)
         total = sum(c * logs[q] for counts in vectors for q, c in counts.items() if c)
-        return to_real(Fraction(total, 1 << logs.bucket) + offset, p)
+        return _round_scaled(total, logs.bucket, offset, p)
+
+
+def _round_scaled(total: int, bucket: int, offset: Rationalish, p: int) -> Real:
+    """total * 2^-bucket + offset correctly rounded to p bits, the value of
+    ``to_real(Fraction(total, 2^bucket) + offset, p)``, built from integers:
+    one rounding of an exact mantissa when the offset's denominator is a
+    power of two, one correctly rounded division otherwise."""
+    num, den = offset.numerator, offset.denominator
+    s = den.bit_length() - 1
+    if den == 1 << s:
+        raw = libmp.from_man_exp((total << s) + (num << bucket), -(bucket + s), p, _RND)
+    else:
+        exact = libmp.from_man_exp(total * den + (num << bucket), -bucket)
+        raw = libmp.mpf_div(exact, libmp.from_int(den), p, _RND)
+    return Real(raw, p)
 
 
 def _floor_log10(v: Fraction) -> int:
@@ -646,10 +660,11 @@ def truncated_decimal(x: Real, digits: int) -> str:
     neg = v < 0
     v = -v if neg else v
     e = _floor_log10(v)
-    # leading `digits` digits as an integer, truncated
-    scaled = v * Fraction(10) ** (digits - 1 - e)
-    n = int(scaled)  # floor for positive values
-    s = str(n)
+    # leading `digits` digits as an integer, truncated: floor(v * 10^k) by
+    # one integer division, with no gcd of the scaled fraction
+    k = digits - 1 - e
+    num, den = v.numerator, v.denominator
+    s = str(num * 10**k // den if k >= 0 else num // (den * 10**-k))
     assert len(s) == digits
     if e >= digits - 1:
         out = s + "0" * (e - digits + 1)

@@ -15,10 +15,9 @@ directly), and in log space for the limit machinery.  The log form never
 takes a log per factor and builds no factor as a `Fraction`: each factor's
 log form, its integers with exact integer exponents, adds m_k times those
 exponents to a count per integer; each integer touched since the last
-request is split into primes once, and the log partial is a running exact
-dot product of the prime exponents with the primes' fixed-point logs,
-rounded once.  Limits are delegated to the sequence-acceleration module on
-the log-partial sequence.
+request is split into primes once, and the log partial is the prime log
+table's ``log_sum`` of the prime exponents, rounded once.  Limits are
+delegated to the sequence-acceleration module on the log-partial sequence.
 
 Specs are built from a flat key-value text form; the built-in catalog goes
 through the same parser, so user-defined products follow an identical code
@@ -491,27 +490,17 @@ class ProductEvalSession:
     atoms once (neighbouring factors of k/(k+1) share k + 1); a long walk
     splits them on the way when more than ``_PENDING_CAP`` wait, so the
     buffer stays bounded while the atom counts grow only with the primes.
-    It keeps two
-    running values over the atom counts: the bound sum |c_q| bitlen(q) and
-    the exact integer sum c_q * log q at the last fixed point F of
-    ``numkernel.PrimeLogTable.fixed_logs``.  A request adds d * log q for
-    the atoms that changed, or recomputes the sum once when F changes; the
-    bridge's pairs are added on top, and the whole is rounded once.  Integer
-    sums are exact, so the value is the table's ``log_sum`` of the counts,
-    the bridge and the e-part, and a function of (n, p) alone, whatever was
-    requested before.  Sessions are meant for a single evaluation run and
-    are not shared across threads.
+    The value is the table's ``log_sum`` of the counts and the bridge's
+    pairs, with the e-part as its offset, so it is a function of (n, p)
+    alone, whatever was requested before.  Sessions are meant for a single
+    evaluation run and are not shared across threads.
     """
 
     def __init__(self, spec: BridgedProductSpec):
         self.spec = spec
         self._logs = nk.PrimeLogTable()
         self._pending = {}  # integer -> exponent change, not yet split
-        self._changed = {}  # atom -> exponent change since the last request
         self._counts = {}  # atom -> exact exponent over the walked factors
-        self._bound = 0  # sum |c_q| bitlen(q) over the counts
-        self._fixed = None  # the atom logs of the running sum, at its fixed point
-        self._dot = 0  # sum c_q * fixed log of q over the counts
         self._e = Fraction(0)  # e-powers of the walked factors, when they depend on k
         self._next_k = spec.k_start
 
@@ -549,10 +538,10 @@ class ProductEvalSession:
 
     def _split_pending(self) -> None:
         """Move the waiting integers' exponent changes onto their atoms."""
-        logs, changed = self._logs, self._changed
+        logs, counts = self._logs, self._counts
         for v, d in self._pending.items():
             if d:
-                logs.add(changed, v, d)
+                logs.add(counts, v, d)
         self._pending.clear()
 
     def log_partial(self, n: int, p: int) -> Real:
@@ -573,25 +562,8 @@ class ProductEvalSession:
             e_total += epower
             for v, m in pairs:
                 logs.add(bridge, v, m)
-
         self._split_pending()
-        changed, self._changed = self._changed, {}
-        counts, bound = self._counts, self._bound
-        for q, d in changed.items():
-            c = counts.get(q, 0)
-            counts[q] = c + d
-            bound += (abs(c + d) - abs(c)) * q.bit_length()
-        self._bound = bound
-
-        bound += sum(abs(c) * q.bit_length() for q, c in bridge.items())
-        fixed = logs.fixed_logs(p, bound)
-        if fixed is self._fixed:
-            self._dot += sum(d * fixed[q] for q, d in changed.items() if d)
-        else:
-            self._fixed = fixed
-            self._dot = sum(c * fixed[q] for q, c in counts.items() if c)
-        total = self._dot + sum(c * fixed[q] for q, c in bridge.items() if c)
-        return nk.to_real(Fraction(total, 1 << fixed.bucket) + e_total, p)
+        return logs.log_sum(p, [self._counts, bridge], e_total)
 
 
 def log_partial(spec: BridgedProductSpec, n: int, p: int) -> Real:

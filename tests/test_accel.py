@@ -486,7 +486,7 @@ def test_node_condition_bits_never_fall_below_the_old_estimate():
     counts = [*range(2, 34), 63, 64, 65, 127, 128, 129, 255, 256, 257, 512]
     for n0 in range(1, 9):
         for count in counts:
-            new = accel._node_condition_bits(n0, count)
+            new = accel._node_condition_bits(accel._lagrange_weights(n0, count - 1))
             old = _old_node_condition_bits(n0, count)
             assert old <= new <= old + 2, (n0, count, old, new)
 

@@ -1,5 +1,6 @@
 """Registry parsing, the verification engine, reports, tables, and the CLI."""
 
+import hashlib
 import json
 from fractions import Fraction
 from importlib import resources
@@ -307,6 +308,73 @@ def test_verify_all_sequential_worker_path():
 
 def test_verify_all_empty_registry():
     assert hz.verify_all(30, registry=hz.Registry(())) == []
+
+
+# SHA-256 prefixes of every report's JSON without elapsed_ms, sorted keys:
+# the LHS and RHS strings, the agreement, the terms and the pass bit.  A
+# change that moves any report bit at these targets fails here.
+_REPORT_PINS = {
+    ("KT1", 30): "da677d4619407e34",
+    ("KT2", 30): "a49faca948e96f42",
+    ("KT3", 30): "511e32db8e28e32d",
+    ("KT4", 30): "9060e16175514a66",
+    ("MELZAK", 30): "6f00580142446a42",
+    ("HOLCOMBE", 30): "9dfad5fe13755b35",
+    ("GS53R", 30): "7e568f740c0e589a",
+    ("GS55R", 30): "d040f5c40a1ef0e6",
+    ("ADAMCHIK_E_HALF", 30): "281f98bc207f44a9",
+    ("D1", 30): "90abed2616530fee",
+    ("DHALF", 30): "44c0c29afbb17d2e",
+    ("DGAMMA_ONE", 30): "6b16f052ce69f290",
+    ("DGAMMA_HALF", 30): "0535d7a4fe291ee3",
+    ("CS_RATIO", 30): "e37aa67d18ca01c9",
+    ("LERCH_CUBE", 30): "b4517586dcd7620d",
+    ("LERCH_CATALAN", 30): "6ef544a464fb785d",
+    ("KT1", 40): "78a0e60b1d9fa9cd",
+    ("KT2", 40): "8cf79b7e14bbf4b1",
+    ("KT3", 40): "027b7dc86d560177",
+    ("KT4", 40): "e350fca5472013b0",
+    ("MELZAK", 40): "ce37fccc648ea1a6",
+    ("HOLCOMBE", 40): "e2b327734b98dd04",
+    ("GS53R", 40): "acd6e3b4b0a31516",
+    ("GS55R", 40): "b7978b37acc9d87f",
+    ("ADAMCHIK_E_HALF", 40): "0e04a7d7a706f9b7",
+    ("D1", 40): "cd4e1fb0f7e293eb",
+    ("DHALF", 40): "87d9cbbecab39a75",
+    ("DGAMMA_ONE", 40): "80231b2a5aeb3857",
+    ("DGAMMA_HALF", 40): "25e507e7e93a5424",
+    ("CS_RATIO", 40): "8f87ffc744bf7fb9",
+    ("LERCH_CUBE", 40): "c66a2b9852fef4a5",
+    ("LERCH_CATALAN", 40): "8f7f2628cdb1ed88",
+    ("KT1", 100): "3ce3a9568ae61675",
+    ("KT2", 100): "249f6a722d97d3ab",
+    ("KT3", 100): "4659e989f28b846a",
+    ("KT4", 100): "be81e2ade40a1911",
+    ("MELZAK", 100): "a4397e4347fa7345",
+    ("HOLCOMBE", 100): "f833db25f49c887b",
+    ("GS53R", 100): "184e7f4c73318ac0",
+    ("GS55R", 100): "b10d50509c4c3298",
+    ("ADAMCHIK_E_HALF", 100): "c8486aa6e4a1b004",
+    ("D1", 100): "d45dfab27d4a7a36",
+    ("DHALF", 100): "c7e541d9e3950d51",
+    ("DGAMMA_ONE", 100): "b8b20bc59aaae3ff",
+    ("DGAMMA_HALF", 100): "06678715dd904eac",
+    ("CS_RATIO", 100): "a7932b7b91e64ed1",
+    ("LERCH_CUBE", 100): "0f90631f8659734b",
+    ("LERCH_CATALAN", 100): "a953cdb7b5f25485",
+}
+
+
+def _report_digest(report) -> str:
+    record = report.to_json_dict()
+    del record["elapsed_ms"]
+    return hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("digits", [30, 40, 100])
+def test_verify_all_reports_match_their_pins(digits):
+    got = {(r.id, digits): _report_digest(r) for r in hz.verify_all(digits, workers=1)}
+    assert got == {key: pin for key, pin in _REPORT_PINS.items() if key[1] == digits}
 
 
 def test_verify_raw_method_reports_honest_failure():

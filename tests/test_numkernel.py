@@ -13,7 +13,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from bounded import cli_snippet, run_bounded
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import isprime
 
@@ -335,6 +336,16 @@ def test_truncated_decimal_is_exact_prefix(q, d):
     assert exact - approx < exact / Fraction(10) ** (d - 2) if d >= 2 else True
 
 
+def test_a_huge_power_renders_in_bounded_time():
+    # 2^(10^7) has 3,010,300 decimal digits; the leading ten come from one
+    # integer division, so the render costs seconds, not minutes
+    run = run_bounded(cli_snippet("eval", "2^(10^7)", "--digits", "10"), budget_s=30)
+    assert run.returncode == 0, run.stderr
+    value = run.stdout.strip()
+    assert value.startswith("9049817306") and len(value) == 3_010_300
+    assert set(value[10:]) == {"0"}
+
+
 def test_truncated_decimal_rejects_zero_digits():
     with pytest.raises(nk.SpecError):
         nk.truncated_decimal(nk.to_real(1, 64), 0)
@@ -424,6 +435,49 @@ def test_log_sum_is_the_exact_sum_rounded_once(vectors, offset, p):
         want += mp.mpf(offset.numerator) / offset.denominator
         # below 2^-(p+32) before the one rounding, then half an ulp at p bits
         assert abs(as_mpf(got) - want) <= mp.mpf(2) ** -(p + 31) + abs(want) * mp.mpf(2) ** -p
+
+
+dyadic_offsets = st.builds(
+    lambda a, s: Fraction(a, 1 << s), st.integers(-(10**40), 10**40), st.integers(0, 512)
+)
+
+
+@given(
+    total=st.integers(-(2**900), 2**900),
+    bucket=st.sampled_from([64, 128, 448, 1024]),
+    offset=st.one_of(st.integers(-(10**6), 10**6), dyadic_offsets, small_fractions,
+                     st.sampled_from([Fraction(1, 3), Fraction(-5, 7)])),
+    p=st.integers(2, 400),
+)
+@settings(max_examples=200, deadline=None)
+def test_log_sum_rounding_is_the_fraction_rounding(total, bucket, offset, p):
+    got = nk._round_scaled(total, bucket, offset, p)
+    assert got.precision_bits == p
+    assert got.raw == nk.to_real(Fraction(total, 1 << bucket) + offset, p).raw
+
+
+@given(
+    mantissa=st.integers(1, 2**400),
+    shift=st.integers(-600, 600),
+    negative=st.booleans(),
+    bucket=st.sampled_from([64, 448, 1024]),
+    offset=st.one_of(st.just(Fraction(0)), dyadic_offsets),
+)
+@settings(max_examples=200, deadline=None)
+def test_log_sum_rounding_breaks_exact_ties_like_the_fraction_rounding(
+    mantissa, shift, negative, bucket, offset
+):
+    # (2m + 1) * 2^shift lies halfway between two p-bit values, p = bitlen(m)
+    tie = Fraction(2 * mantissa + 1) * Fraction(2) ** shift * (-1 if negative else 1)
+    scaled = (tie - offset) * (1 << bucket)
+    assume(scaled.denominator == 1)
+    p = max(2, mantissa.bit_length())
+    want = nk.to_real(tie, p)
+    if p == mantissa.bit_length():
+        assert want.to_fraction() != tie
+        assert nk.to_real(tie, p + 1).to_fraction() == tie
+    got = nk._round_scaled(scaled.numerator, bucket, offset, p)
+    assert got.raw == want.raw
 
 
 def test_log_sum_bits_do_not_depend_on_earlier_requests():

@@ -564,7 +564,7 @@ def _negated_parts_spec():
 def test_walked_counts_are_the_split_of_the_reduced_factors(name, a, b, ns):
     # the walk over factor_log's pairs gives the atoms of f(k)'s reduced
     # numerator and denominator, on both sides of the sieve cap, forward
-    # and backward, and the running dot product is the table's log_sum
+    # and backward, and the value is a fresh table's log_sum of them
     x = Fraction(a, b)
     if name == "negated":
         spec = _negated_parts_spec()
@@ -609,6 +609,20 @@ def test_factor_log_raises_what_the_factor_raises():
         negative.factor_log(2)
 
 
+def _watch_fixed_logs(session) -> list:
+    """The (bound, logs) of every fixed_logs request the session's table
+    serves from now on."""
+    requests, fixed_logs = [], session._logs.fixed_logs
+
+    def watched(p, bound):
+        logs = fixed_logs(p, bound)
+        requests.append((bound, logs))
+        return logs
+
+    session._logs.fixed_logs = watched
+    return requests
+
+
 @settings(deadline=None, max_examples=25)
 @given(
     name=st.sampled_from(["KT1", "KT3", "MELZAK", "GS53R", "HOLCOMBE", "evar"]),
@@ -625,21 +639,19 @@ def test_a_session_crossing_a_bucket_returns_the_fresh_values(name, ns, boundary
         spec = pr.builtin(name)
     # the bounds the smallest and the largest request hand to fixed_logs
     probe = pr.ProductEvalSession(spec)
-    bounds, fixed_logs = [], probe._logs.fixed_logs
-    probe._logs.fixed_logs = lambda p, bound: bounds.append(bound) or fixed_logs(p, bound)
+    requests = _watch_fixed_logs(probe)
     for n in (min(ns), max(ns)):
         probe.log_partial(n, 64)
-    lo_bits, hi_bits = (b.bit_length() for b in bounds)
+    lo_bits, hi_bits = (bound.bit_length() for bound, _ in requests)
     assume(hi_bits > lo_bits)
     # p + 32 + hi_bits = 64*boundary + 1: the largest request needs the next
     # fixed point up, the smallest one does not
     p = 64 * boundary + 1 - 32 - hi_bits
     session = pr.ProductEvalSession(spec)
-    buckets = set()
+    requests = _watch_fixed_logs(session)
     for n in ns:
         assert session.log_partial(n, p).raw == pr.log_partial(spec, n, p).raw
-        buckets.add(session._fixed.bucket)
-    assert buckets == {64 * boundary, 64 * boundary + 64}
+    assert {logs.bucket for _, logs in requests} == {64 * boundary, 64 * boundary + 64}
 
 
 @pytest.mark.parametrize("name", ["KT1", "GS53R", "HOLCOMBE"])
