@@ -609,20 +609,6 @@ def test_factor_log_raises_what_the_factor_raises():
         negative.factor_log(2)
 
 
-def _watch_fixed_logs(session) -> list:
-    """The (bound, logs) of every fixed_logs request the session's table
-    serves from now on."""
-    requests, fixed_logs = [], session._logs.fixed_logs
-
-    def watched(p, bound):
-        logs = fixed_logs(p, bound)
-        requests.append((bound, logs))
-        return logs
-
-    session._logs.fixed_logs = watched
-    return requests
-
-
 @settings(deadline=None, max_examples=25)
 @given(
     name=st.sampled_from(["KT1", "KT3", "MELZAK", "GS53R", "HOLCOMBE", "evar"]),
@@ -639,19 +625,21 @@ def test_a_session_crossing_a_bucket_returns_the_fresh_values(name, ns, boundary
         spec = pr.builtin(name)
     # the bounds the smallest and the largest request hand to fixed_logs
     probe = pr.ProductEvalSession(spec)
-    requests = _watch_fixed_logs(probe)
+    bounds, fixed_logs = [], probe._logs.fixed_logs
+    probe._logs.fixed_logs = lambda p, bound: bounds.append(bound) or fixed_logs(p, bound)
     for n in (min(ns), max(ns)):
         probe.log_partial(n, 64)
-    lo_bits, hi_bits = (bound.bit_length() for bound, _ in requests)
+    lo_bits, hi_bits = (b.bit_length() for b in bounds)
     assume(hi_bits > lo_bits)
     # p + 32 + hi_bits = 64*boundary + 1: the largest request needs the next
     # fixed point up, the smallest one does not
     p = 64 * boundary + 1 - 32 - hi_bits
     session = pr.ProductEvalSession(spec)
-    requests = _watch_fixed_logs(session)
+    buckets, fixed_logs = set(), session._logs.fixed_logs
+    session._logs.fixed_logs = lambda p, b: buckets.add((logs := fixed_logs(p, b)).bucket) or logs
     for n in ns:
         assert session.log_partial(n, p).raw == pr.log_partial(spec, n, p).raw
-    assert {logs.bucket for _, logs in requests} == {64 * boundary, 64 * boundary + 64}
+    assert buckets == {64 * boundary, 64 * boundary + 64}
 
 
 @pytest.mark.parametrize("name", ["KT1", "GS53R", "HOLCOMBE"])
