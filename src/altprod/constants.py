@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import numkernel as nk
@@ -40,30 +39,10 @@ from .zetagamma import HurwitzQuery, bernoulli_even, hurwitz_zeta_sderiv
 
 __all__ = [
     "CONSTANT_IDS",
-    "NamedConstant",
-    "REGISTRY",
     "constant",
     "decimal_digits",
 ]
 
-
-@dataclass(frozen=True)
-class NamedConstant:
-    id: str
-    primary_route: str
-    check_route: str
-
-
-REGISTRY = {
-    "PI": NamedConstant("PI", "machin-arctan-fixedpoint", "agm-iteration"),
-    "E": NamedConstant("E", "taylor-fixedpoint", "continued-fraction"),
-    "EULER_GAMMA": NamedConstant("EULER_GAMMA", "harmonic-em-cut-N", "harmonic-em-cut-2N"),
-    "CATALAN": NamedConstant("CATALAN", "binomial-arctanh-series", "crvz-summed-defining-series"),
-    "ZETA3": NamedConstant("ZETA3", "alternating-binomial-series", "crvz-summed-eta3"),
-    "LN_GLAISHER": NamedConstant("LN_GLAISHER", "zeta-sderiv-at-minus-one", "zeta-sderiv-at-two-identity"),
-}
-
-CONSTANT_IDS = tuple(REGISTRY)
 
 _memo_lock = threading.Lock()
 _memo: dict = {}
@@ -285,6 +264,7 @@ def _ln_glaisher_zeta2(wp: int) -> Real:
 
 # -- release machinery ----------------------------------------------------------------
 
+# the one constant table: id -> (primary, check), as the module docstring names them
 _ROUTES = {
     "PI": (_pi_machin, _pi_agm),
     "E": (_e_taylor, _e_continued_fraction),
@@ -296,6 +276,8 @@ _ROUTES = {
     "ZETA3": (_zeta3_binomial, _zeta3_crvz),
     "LN_GLAISHER": (_ln_glaisher_zderiv, _ln_glaisher_zeta2),
 }
+
+CONSTANT_IDS = tuple(_ROUTES)
 
 
 def constant(id: str, p: int) -> Real:

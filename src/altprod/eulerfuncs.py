@@ -7,11 +7,12 @@ correctness argument, so each value comes from its own algorithm. They
 share one kernel, ``numkernel.PrimeLogTable``: PRODUCT's log partials go
 through it, and so do GAMMA_SERIES's directed check and the zeta'(-1, x)
 heads of BARNES_CLOSED's Hurwitz form, but not the CRVZ sum that is
-GAMMA_SERIES's value (see `D`). `E` is the
-squared-ratio analogue. `gamma_param` / `gamma_ab` are the two
-parameterized-Euler-constant families (one is a reindexing of the other),
-and `phi_sderiv` evaluates the s-derivative of the alternating Lerch series
-by a Hurwitz split, whose zeta'(s, a) heads at integer s <= 0 go through the
+GAMMA_SERIES's value (see `D`). `E` is the squared-ratio analogue.
+`gamma_param` / `gamma_ab` are the two parameterized-Euler-constant families
+(one is a reindexing of the other); both sum t - ln(1 + t), t = alpha/n or
+1/(an + b), described by the integer pairs (num, den) of t alone.
+`phi_sderiv` evaluates the s-derivative of the alternating Lerch series by
+a Hurwitz split, whose zeta'(s, a) heads at integer s <= 0 go through the
 table, with an Euler-summed check route whose terms take ``ln_rational``.
 """
 
@@ -62,25 +63,16 @@ def _check_target(target_digits: int):
 # parameterized-Euler-constant series
 
 
-def _series_coeff(y: Fraction, wp: int) -> Real:
-    """1/y - ln((y+1)/y) for rational y > 0, with the precision boosted to
-    pay for the cancellation (the value is ~1/(2y^2) against terms ~1/y)."""
-    mag = max(0, y.numerator.bit_length() - y.denominator.bit_length())
-    w = wp + 2 * mag + 8
-    return nk.sub(
-        nk.to_real(Fraction(y.denominator, y.numerator), w),
-        nk.ln_rational((y + 1) / y, w),
-        w,
-    )
+def _t_minus_log1p(num: int, den: int, wp: int) -> Real:
+    """t - ln(1 + t) for t = num/den > -1, den > 0.
 
-
-def _alpha_coeff(alpha: Fraction, n: int, wp: int) -> Real:
-    """alpha/n - ln(1 + alpha/n); cancellation leaves ~alpha^2/(2n^2)."""
-    q = alpha / n
-    # bits lost to cancellation: log2(|q| / (q^2/2)) = log2(2/|q|)
-    lost = max(0, (abs(q) ** -1).numerator.bit_length() if q else 0)
-    w = wp + min(lost, 4 * wp) + 8
-    return nk.sub(nk.to_real(q, w), nk.ln_rational(1 + q, w), w)
+    The value is about t^2/2 against terms of size |t|, so the cancellation
+    costs about log2(2/|t|) bits; the working precision is raised by the bit
+    length of t's reduced denominator, capped at 4 wp, plus 8 bits.
+    """
+    t = Fraction(num, den)
+    w = wp + min(t.denominator.bit_length() if t else 0, 4 * wp) + 8
+    return nk.sub(nk.to_real(t, w), nk.ln_rational(1 + t, w), w)
 
 
 def _paired_direct_sum(t_at, weight, n0: int, terms: int, w: int) -> Real:
@@ -112,12 +104,14 @@ def _paired_direct_sum(t_at, weight, n0: int, terms: int, w: int) -> Real:
     return logs.log_sum(w, [counts], Fraction(rational, 1 << scale))
 
 
-def _directed_check(term_at, t_at, weight, n0: int, wp: int, total: Real, terms: int):
+def _directed_check(t_at, weight, n0: int, wp: int, total: Real, terms: int):
     """Free consistency check at z = -1: a paired direct partial sum must sit
-    within the first omitted term of the accelerated total."""
+    within the first omitted term, weight(n) (t - ln(1 + t)) at n = n0 + terms,
+    of the accelerated total."""
     w = wp // 2 + 32
     acc = _paired_direct_sum(t_at, weight, n0, terms, w)
-    bound = abs(term_at(n0 + terms, w))
+    n = n0 + terms
+    bound = abs(nk.mul(_t_minus_log1p(*t_at(n), w), nk.to_real(weight(n), w), w))
     gap = abs(nk.sub(total.at(w), acc, w))
     slack = nk.ldexp(nk.add(bound, abs(total.at(w)), w), -(w // 2))
     if gap > nk.add(bound, slack, w):
@@ -126,10 +120,10 @@ def _directed_check(term_at, t_at, weight, n0: int, wp: int, total: Real, terms:
         )
 
 
-def _direct_power_sum(coeff_at, n0: int, z: Fraction, weight, wp: int,
+def _direct_power_sum(t_at, n0: int, z: Fraction, weight, wp: int,
                       stop_bits: int, what: str) -> Real:
-    """sum of weight(n) * z^(n-n0) * coeff(n) for |z| < 1, with the geometric
-    tail bound on the (decreasing) coefficients deciding when to stop."""
+    """sum of weight(n) * z^(n-n0) * (t - ln(1 + t)) for |z| < 1, with the
+    geometric tail bound on the (decreasing) coefficients deciding when to stop."""
     zr = nk.to_real(z, wp)
     az = abs(zr)
     inv_gap = nk.div(nk.to_real(1, wp), nk.sub(nk.to_real(1, wp), az, wp), wp)
@@ -138,10 +132,8 @@ def _direct_power_sum(coeff_at, n0: int, z: Fraction, weight, wp: int,
     zp = nk.to_real(1, wp)  # z^(n-n0)
     n = n0
     while True:
-        c = coeff_at(n, wp)
-        w_n = weight(n)
-        if w_n:
-            acc = nk.add(acc, nk.mul(nk.mul(c, nk.to_real(w_n, wp), wp), zp, wp), wp)
+        c = _t_minus_log1p(*t_at(n), wp)
+        acc = nk.add(acc, nk.mul(nk.mul(c, nk.to_real(weight(n), wp), wp), zp, wp), wp)
         zp = nk.mul(zp, zr, wp)
         n += 1
         # tail: coeff(m) <= coeff(n) for m >= n, weights grow at most linearly
@@ -155,10 +147,11 @@ def _direct_power_sum(coeff_at, n0: int, z: Fraction, weight, wp: int,
 
 
 def _z_series(what: str, z, p: int, target_digits: int, n0: int, t_at,
-              coeff_at, weight=None, check_terms: int = 1024) -> Real:
-    """sum_{n>=n0} weight(n) z^(n-n0) coeff(n) for z in [-1, 1) and decreasing
-    coefficients coeff(n) = t - ln(1 + t), t = num/den for (num, den) = t_at(n);
-    a missing weight is 1, a missing coeff_at the zero series.
+              weight=None, check_terms: int = 1024) -> Real:
+    """sum_{n>=n0} weight(n) z^(n-n0) (t - ln(1 + t)) for z in [-1, 1) and
+    decreasing coefficients, t = num/den for the integer pair (num, den) =
+    t_at(n), the series' only description; a missing weight is 1.  num does
+    not depend on n in either family, so num = 0 is the exact zero series.
 
     At z = -1 the weighted terms are CRVZ-summed and the total must pass the
     directed check; inside (-1, 1) the series is summed directly to its
@@ -168,22 +161,22 @@ def _z_series(what: str, z, p: int, target_digits: int, n0: int, t_at,
     zf = _as_fraction(z, "z")
     if not -1 <= zf < 1:
         raise DomainError(f"{what} needs z in [-1, 1)")
-    if coeff_at is None:
+    if t_at(n0)[0] == 0:
         return nk.to_real(0, p)
     stop_bits = nk.bits_for_digits(target_digits, guard=16)
     wp = max(p, stop_bits) + 32
-    term_at = coeff_at
-    if weight is None:
-        weight = lambda n: 1  # noqa: E731
-    else:
-        def term_at(n, w):
-            return nk.mul(coeff_at(n, w), nk.to_real(weight(n), w), w)
+    unweighted, weight = weight is None, weight or (lambda n: 1)
+
+    def term_at(n, w):  # a unit weight keeps the coefficient's own precision
+        c = _t_minus_log1p(*t_at(n), w)
+        return c if unweighted else nk.mul(c, nk.to_real(weight(n), w), w)
+
     if zf == -1:
         gen = SequenceGen(term_at=term_at, n0=n0, kind=ALTERNATING_TERMS)
         total = alternating_sum(gen, stop_bits).value.at(wp)
-        _directed_check(term_at, t_at, weight, n0, wp, total, check_terms)
+        _directed_check(t_at, weight, n0, wp, total, check_terms)
         return total.at(p)
-    value = _direct_power_sum(coeff_at, n0, zf, weight, wp, stop_bits, what)
+    value = _direct_power_sum(t_at, n0, zf, weight, wp, stop_bits, what)
     return value.at(p)
 
 
@@ -192,9 +185,8 @@ def gamma_param(alpha, z, p: int, target_digits: int) -> Real:
     af = _as_fraction(alpha, "alpha")
     if af <= -1:
         raise DomainError("gamma_param needs alpha > -1")
-    coeff = (lambda n, w: _alpha_coeff(af, n, w)) if af else None
     return _z_series("gamma_param", z, p, target_digits, 1,
-                     lambda n: (af.numerator, af.denominator * n), coeff)
+                     lambda n: (af.numerator, af.denominator * n))
 
 
 def gamma_param_deriv(alpha, z, p: int, target_digits: int) -> Real:
@@ -202,11 +194,10 @@ def gamma_param_deriv(alpha, z, p: int, target_digits: int) -> Real:
     af = _as_fraction(alpha, "alpha")
     if af <= -1:
         raise DomainError("gamma_param_deriv needs alpha > -1")
-    coeff = (lambda n, w: _alpha_coeff(af, n, w)) if af else None
     # the weighted terms decay like 1/n, a power slower than the coefficients;
     # twice the pairs keep the check's window, the first omitted term, narrow
     return _z_series("gamma_param_deriv", z, p, target_digits, 2,
-                     lambda n: (af.numerator, af.denominator * n), coeff,
+                     lambda n: (af.numerator, af.denominator * n),
                      weight=lambda n: n - 1, check_terms=2048)
 
 
@@ -219,8 +210,7 @@ def gamma_ab(a, b, z, p: int, target_digits: int) -> Real:
     # t = 1/(an + b) = a_den b_den / (a_num b_den n + b_num a_den)
     t_num = af.denominator * bf.denominator
     step, base = af.numerator * bf.denominator, bf.numerator * af.denominator
-    return _z_series("gamma_ab", z, p, target_digits, 0, lambda n: (t_num, step * n + base),
-                     lambda n, w: _series_coeff(af * n + bf, w))
+    return _z_series("gamma_ab", z, p, target_digits, 0, lambda n: (t_num, step * n + base))
 
 
 # ---------------------------------------------------------------------------

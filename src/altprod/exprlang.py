@@ -50,10 +50,9 @@ _PRINT_CONST = {name: name.lower() for name in CONSTANT_NAMES}
 # values whose binary exponent passes this are a configuration error, not
 # mathematics; refusing them keeps overflow explicit instead of saturating
 _MAX_MAG_BITS = 1 << 27
-# arguments past these bounds either overflow the magnitude cap anyway or
+# barnesG arguments past this bound either overflow the magnitude cap or
 # cost unbounded time; refuse them up front with a range error
 _BARNES_ARG_CAP = 8192
-_ZETA_ORDER_CAP = 4000
 
 
 @dataclass(frozen=True)
@@ -468,8 +467,6 @@ def _call_value(name: str, args, wp: int) -> Real:
         if args[0].to_fraction() > _BARNES_ARG_CAP:
             raise OracleRangeError("barnesG argument exceeds the supported range")
         return nk.exp(zg.ln_barnesG(args[0], wp), wp)
-    if abs(args[0].to_fraction()) > _ZETA_ORDER_CAP:
-        raise OracleRangeError("zeta order exceeds the supported range")
     if name == "zeta":
         return zg.zeta(args[0], wp)
     return zg.hurwitz_zeta(HurwitzQuery(args[0], args[1]), wp)

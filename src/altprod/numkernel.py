@@ -611,15 +611,17 @@ def _round_scaled(total: int, bucket: int, offset: Rationalish, p: int) -> Real:
     return Real(libmp.mpf_div(exact, libmp.from_int(den), p, _RND), p)
 
 
-def _floor_log10(v: Fraction) -> int:
-    """The decimal exponent e with 10**e <= v < 10**(e+1), for v > 0: a
-    float estimate settled by exact comparisons."""
+def _floor_log10(v: Fraction):
+    """(e, 10**|e|) with 10**e <= v < 10**(e+1), for v > 0: a float estimate
+    settled by exact integer comparisons, the one power stepped by 10."""
+    num, den = v.numerator, v.denominator
     e = math.floor(_log2_abs_fraction(v) * math.log10(2.0))
-    while Fraction(10) ** e > v:
-        e -= 1
-    while Fraction(10) ** (e + 1) <= v:
-        e += 1
-    return e
+    pw = 10 ** abs(e)
+    while pw * den > num if e >= 0 else den > num * pw:  # 10**e > v
+        pw, e = pw // 10 if e > 0 else pw * 10, e - 1
+    while 10 * pw * den <= num if e >= 0 else 10 * den <= num * pw:  # 10**(e+1) <= v
+        pw, e = pw * 10 if e >= 0 else pw // 10, e + 1
+    return e, pw
 
 
 def agreement_digits(a: Real, b: Real) -> int:
@@ -640,8 +642,8 @@ def agreement_digits(a: Real, b: Real) -> int:
     rel = div(diff, denom, 53).to_fraction()
     # rel > 0; with 10**e <= rel < 10**(e+1), -log10(rel) is -e at the
     # lower edge and lies strictly between -e-1 and -e above it
-    e = _floor_log10(rel)
-    return -e if rel == Fraction(10) ** e else -e - 1
+    e, pw = _floor_log10(rel)
+    return -e if rel == (pw if e >= 0 else Fraction(1, pw)) else -e - 1
 
 
 def truncated_decimal(x: Real, digits: int) -> str:
@@ -657,12 +659,16 @@ def truncated_decimal(x: Real, digits: int) -> str:
         return "0." + "0" * (digits - 1) if digits > 1 else "0"
     neg = v < 0
     v = -v if neg else v
-    e = _floor_log10(v)
-    # leading `digits` digits as an integer, truncated: floor(v * 10^k) by
-    # one integer division, with no gcd of the scaled fraction
+    e, pw = _floor_log10(v)
+    # leading `digits` digits as an integer, truncated: floor(v * 10^k) by one
+    # integer division, no gcd; 10^|k| comes from 10^|e| and 10^(digits-1)
     k = digits - 1 - e
     num, den = v.numerator, v.denominator
-    s = str(num * 10**k // den if k >= 0 else num // (den * 10**-k))
+    lead = 10 ** (digits - 1)
+    if k < 0:
+        s = str(num // (den * (pw // lead)))
+    else:
+        s = str(num * (pw * lead if e < 0 else 10**k) // den)
     assert len(s) == digits
     if e >= digits - 1:
         out = s + "0" * (e - digits + 1)

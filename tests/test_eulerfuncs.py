@@ -291,23 +291,42 @@ def test_directed_check_refuses_a_total_off_by_more_than_the_first_omitted_term(
     alpha, wp = Fraction(1, 2), 240
     w = wp // 2 + 32
 
-    def term_at(n, q):
-        return nk.mul(ef._alpha_coeff(alpha, n, q), nk.to_real(n - 1, q), q)
-
     def t_at(n):
         return alpha.numerator, alpha.denominator * n
 
     direct = as_mpf(ef._paired_direct_sum(t_at, lambda n: n - 1, 2, 2048, w))
-    bound = as_mpf(term_at(2 + 2048, w))
+    n = 2 + 2048
+    bound = as_mpf(ef._t_minus_log1p(*t_at(n), w)) * (n - 1)
     for shift, ok in ((mp.mpf("0.9"), True), (mp.mpf("1.1"), False)):
         for sign in (1, -1):
             total = nk.Real(mp.mpf(direct + sign * shift * bound)._mpf_, wp)
-            args = (term_at, t_at, lambda n: n - 1, 2, wp, total, 2048)
+            args = (t_at, lambda n: n - 1, 2, wp, total, 2048)
             if ok:
                 ef._directed_check(*args)
             else:
                 with pytest.raises(NonConvergenceError, match="direct partial sum"):
                     ef._directed_check(*args)
+
+
+@pytest.mark.parametrize(
+    "num,den",
+    [
+        (1, 2), (-1, 3), (5, 2), (-2, 3),  # alpha/n at n = 1
+        (-999, 1000), (-1, 7 * 10**6),  # alpha in (-1, 0), near -1 and tiny
+        (1, 10**40), (-3, 7 * 10**45),  # tiny t, deep cancellation
+        (3, 21 * 500 + 5), (1, 10**6 + 1), (2, 4 * 10**30 + 1),  # 1/(an + b)
+    ],
+)
+def test_t_minus_log1p_matches_mpmath(num, den):
+    # the one coefficient of both families, against mpmath's t - log1p(t)
+    # well above the working precision: relative error below 2^-(wp-2)
+    wp = 160
+    got = as_mpf(ef._t_minus_log1p(num, den, wp))
+    with mp.workprec(8 * wp):
+        t = mp.mpf(num) / den
+        want = t - mp.log1p(t)
+        assert want > 0
+        assert abs(got - want) <= abs(want) * mp.mpf(2) ** -(wp - 2)
 
 
 def test_reindexed_family_matches_single_parameter_family():

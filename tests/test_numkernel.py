@@ -351,6 +351,24 @@ def test_truncated_decimal_rejects_zero_digits():
         nk.truncated_decimal(nk.to_real(1, 64), 0)
 
 
+@pytest.mark.parametrize("e", [0, 1, 2, 15, 16, 17, 307, 308, 309, 1000, 4321, 10**4])
+def test_decimal_exponent_settles_next_to_every_power_of_ten(e):
+    # the float estimate can land one off on either side of 10^e; the exact
+    # steps, from the one power 10^|e|, must settle it for the integers next
+    # to 10^e and for their reciprocals
+    ten = 10**e
+    cases = [(Fraction(ten), e), (Fraction(ten + 1), e),
+             (Fraction(1, ten), -e), (Fraction(1, ten + 1), -e - 1)]
+    if e:
+        cases += [(Fraction(ten - 1), e - 1), (Fraction(1, ten - 1), -e)]
+    for v, want in cases:
+        assert nk._floor_log10(v) == (want, 10 ** abs(want)), v
+    if e >= 12:
+        lead = {ten - 1: "9" * 12 + "0" * (e - 12), ten: "1" + "0" * e, ten + 1: "1" + "0" * e}
+        for v, text in lead.items():
+            assert nk.truncated_decimal(nk.to_real(v, v.bit_length() + 8), 12) == text
+
+
 # -- purity under threads -----------------------------------------------------
 
 

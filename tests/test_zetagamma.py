@@ -337,6 +337,59 @@ def test_barnesG_quarter_at_300_digits_through_the_cli_returns_in_time():
 
 
 # ---------------------------------------------------------------------------
+# the cost bounds of an Euler-Maclaurin plan
+
+
+@pytest.mark.parametrize(
+    "expr",
+    # the first three took 159 s, 157 s and 46 s before the plan was bounded;
+    # the last two are one past the largest admitted orders
+    ["hzeta(-200, 10^200)", "hzeta(-3999, 1/10^20)", "zeta(-3999)", "zeta(-388)",
+     "zeta(93623)"],
+)
+def test_a_costly_zeta_plan_is_refused_before_its_first_term(expr):
+    run = run_bounded(cli_snippet("eval", expr, "--digits", "12"), budget_s=10)
+    assert run.returncode == 3, run.stderr
+    assert "zeta order" in run.stderr
+
+
+@pytest.mark.parametrize(
+    "expr,ref",
+    [
+        ("zeta(-387)", lambda: mp.zeta(-387)),  # a trivial zero
+        ("zeta(-385)", lambda: mp.zeta(-385)),
+        ("hzeta(-773/2, 1)", lambda: mp.zeta(mp.mpf(-773) / 2)),
+        ("zeta(93622)", lambda: mp.zeta(93622)),
+    ],
+)
+def test_the_largest_admitted_zeta_plans_evaluate_in_time(expr, ref):
+    run = run_bounded(cli_snippet("eval", expr, "--digits", "12"), budget_s=60)
+    assert run.returncode == 0, run.stderr
+    got = mp.mpf(run.stdout.strip())
+    want = ref()
+    # 12 truncated significant digits, or an absolute 2^-120 at a zero
+    assert abs(got - want) <= max(abs(want) * mp.mpf(10) ** -11, mp.mpf(2) ** -120)
+
+
+@pytest.mark.parametrize("k", [40, 100, 200, 300])
+def test_zeta_at_a_large_negative_order_keeps_its_contract(k):
+    # the cut N grows with the bits bought for (N + a)^k, and those bits must
+    # cover the final cut; zeta(-100) once came out as -13571.55, not 0
+    with mp.workprec(P50 + 64):
+        check_against(zeta(-k, P50), mp.zeta(-k), P50)
+        ref = mp.zeta(-k + 1, mp.mpf(1) / 3)
+        check_against(hurwitz_zeta(HurwitzQuery(-k + 1, Fraction(1, 3)), P50), ref, P50)
+
+
+def test_zeta_plan_bounds_depend_on_the_order_not_the_caller_precision():
+    # zeta'(-1) at 4000 digits keeps a plan far inside both bounds
+    N, wp = zg._em_plan(Fraction(-1), Fraction(1), nk.bits_for_digits(4000))
+    assert N < zg._EM_TERMS_CAP and wp - nk.bits_for_digits(4000) < 64
+    with pytest.raises(nk.OracleRangeError, match="zeta order adds"):
+        zg._em_plan(Fraction(-388), Fraction(1), 136)
+
+
+# ---------------------------------------------------------------------------
 # Gamma-ratio product limits
 
 
