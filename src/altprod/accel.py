@@ -16,7 +16,9 @@ sequences into accelerated limit estimates with empirical error estimates:
   error target is met, or until the last doubling shows it out of reach.
 
 Everything operates in log space by convention: callers hand in log partial
-products, never the products themselves, so magnitudes stay O(1).
+products, never the products themselves, so magnitudes stay O(1).  The
+Richardson and CRVZ dot products and the Euler transform's grid are exact
+integer sums, each rounded once by ``numkernel.round_scaled``.
 
 Error estimates are |last - previous| of the accelerated diagonal: an
 empirical indicator, not a bound.  Callers that need certainty re-run at a
@@ -27,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Optional
 
 from mpmath import libmp
@@ -125,11 +126,6 @@ def _all_equal_shortcut(values, method: str, terms_used: int) -> Optional[LimitE
     return None
 
 
-def _dyadic_scaled(num: int, den: int, e: int) -> Fraction:
-    """num * 2^e / den, exactly."""
-    return Fraction(num << e, den) if e >= 0 else Fraction(num, den << -e)
-
-
 def _common_mantissas(values) -> tuple:
     """(mans, e) with values[i] = mans[i] * 2^e exactly: each value's
     mantissa scaled to the smallest exponent, so dot products stay exact."""
@@ -171,10 +167,6 @@ def euler_transform_sum(terms: SequenceGen, p: int, max_terms: int) -> LimitEsti
     wp = p + 48 + max_terms.bit_length() + _probe_scale_bits(terms)
     tol_bits = p + 2
     one = 1 << wp
-
-    def at_p(x: int) -> Real:
-        return to_real(_dyadic_scaled(x, 1, -wp), p)
-
     n0 = terms.n0
     # col[j] holds the level-j average ending at the newest partial sum
     col: list = []
@@ -193,11 +185,14 @@ def euler_transform_sum(terms: SequenceGen, p: int, max_terms: int) -> LimitEsti
             err = abs(diag - prev)
             if err << tol_bits < max(abs(diag), one):
                 return LimitEstimate(
-                    value=at_p(diag), error_estimate=at_p(err), terms_used=n0 + m, method=EULER
+                    value=nk.round_scaled(diag, -wp, p),
+                    error_estimate=nk.round_scaled(err, -wp, p),
+                    terms_used=n0 + m,
+                    method=EULER,
                 )
     best = LimitEstimate(
-        value=at_p(diag),
-        error_estimate=at_p(abs(diag - prev)),
+        value=nk.round_scaled(diag, -wp, p),
+        error_estimate=nk.round_scaled(abs(diag - prev), -wp, p),
         terms_used=n0 + max_terms - 1,
         method=EULER,
     )
@@ -233,6 +228,14 @@ def _crvz_weights(n: int):
     return d, cs
 
 
+def _crvz_settled(s: int, g: int, d: int, d1: int, e: int, p: int) -> bool:
+    """Whether g 2^e / (d d1) < 2^-(p+2) max(|s| 2^e / d, 1), in integers:
+    both sides times d d1 2^(v + p + 2), with u = max(e, 0), v = max(-e, 0)
+    and e + v = u."""
+    u, v = max(e, 0), max(-e, 0)
+    return g << (p + 2 + u) < max(abs(s) * d1 << u, d * d1 << v)
+
+
 def alternating_sum(terms: SequenceGen, p: int) -> LimitEstimate:
     """Sum of sum_{k>=n0} (-1)^(k-n0) b_k for decreasing b_k by Cohen,
     Rodriguez Villegas and Zagier, "Convergence acceleration of alternating
@@ -242,12 +245,13 @@ def alternating_sum(terms: SequenceGen, p: int) -> LimitEstimate:
     error of the n-term sum is below 2 |S| / (3+sqrt 8)^n, so n follows from
     p and every term is evaluated once.  Both the n-term sum and the sum over
     the first n - 1 terms are exact dot products of the integer weights with
-    the terms' dyadic mantissas, rounded once; their difference is the error
-    estimate.  Unless it falls below 2^-(p+2) * max(|S|, 1) the sum raises
-    ``NonConvergenceError`` carrying the n-term value.  Terms that grow, where
-    the hypothesis fails, make the two sums disagree: for b_k = x^k the error
-    is T_n(1-2x) / ((1+x) T_n(3)), which for x >= 2 does not shrink and flips
-    sign with n.
+    the terms' dyadic mantissas; the n-term sum is the value, their exact
+    difference the error estimate, each rounded once.  Unless the difference
+    falls below 2^-(p+2) * max(|S|, 1), an exact integer comparison, the sum
+    raises ``NonConvergenceError`` carrying the n-term value.  Terms that
+    grow, where the hypothesis fails, make the two sums disagree: for
+    b_k = x^k the error is T_n(1-2x) / ((1+x) T_n(3)), which for x >= 2 does
+    not shrink and flips sign with n.
     """
     if terms.kind != ALTERNATING_TERMS:
         raise SpecError("alternating_sum needs an ALTERNATING_TERMS sequence")
@@ -255,20 +259,19 @@ def alternating_sum(terms: SequenceGen, p: int) -> LimitEstimate:
     # each weight c_k / d lies in (-1, 1): n rounded terms lose bitlen(n) bits
     wp = p + _CRVZ_GUARD_BITS + n.bit_length() + _probe_scale_bits(terms)
     mans, e = _common_mantissas(terms.term_at(terms.n0 + k, wp) for k in range(n))
-
-    def dot(m: int) -> Fraction:
-        d, cs = _crvz_weights(m)
-        return _dyadic_scaled(sum(c * a for c, a in zip(cs, mans)), d, e)
-
-    full = dot(n)
-    err = abs(full - dot(n - 1))
+    # the n-term sum is s * 2^e / d, the (n-1)-term sum s1 * 2^e / d1, and
+    # their difference g * 2^e / (d d1)
+    d, cs = _crvz_weights(n)
+    d1, cs1 = _crvz_weights(n - 1)
+    s = sum(c * a for c, a in zip(cs, mans))
+    g = abs(s * d1 - sum(c * a for c, a in zip(cs1, mans)) * d)
     est = LimitEstimate(
-        value=to_real(full, p),
-        error_estimate=to_real(err, p),
+        value=nk.round_scaled(s, e, p, d),
+        error_estimate=nk.round_scaled(g, e, p, d * d1),
         terms_used=terms.n0 + n - 1,
         method=EULER,
     )
-    if err >= Fraction(max(abs(full), 1)) / 2 ** (p + 2):
+    if not _crvz_settled(s, g, d, d1, e, p):
         raise NonConvergenceError(
             f"alternating sum over {n} and {n - 1} terms disagree"
             f" by more than 2^-{p + 2}",
@@ -399,8 +402,8 @@ def richardson_limit(
     # the J-node value is lower / (J-1)! = J * lower / J!
     den = math.factorial(J)
     return LimitEstimate(
-        value=to_real(_dyadic_scaled(full, den, e), p),
-        error_estimate=to_real(_dyadic_scaled(abs(full - J * lower), den, e), p),
+        value=nk.round_scaled(full, e, p, den),
+        error_estimate=nk.round_scaled(abs(full - J * lower), e, p, den),
         terms_used=n0 + J,
         method=RICHARDSON,
     )
@@ -515,7 +518,7 @@ def estimate_limit(
         raise SpecError(f"unknown method {method!r}")
     if target_digits < 1:
         raise SpecError("target_digits must be >= 1")
-    goal = to_real(Fraction(1, 10**target_digits), 64)
+    goal = nk.round_scaled(1, 0, 64, 10**target_digits)
     best: Optional[LimitEstimate] = None
     cause = None
 

@@ -6,7 +6,8 @@ makes silently wrong digits effectively impossible.  Released values are
 memoized per (id, precision) and safe for concurrent readers.
 
 Routes (primary / check); the primary series are summed in integer fixed
-point, those of PI, E, CATALAN and ZETA3 by one kernel, ``_series_fixed``:
+point, those of PI, E, CATALAN and ZETA3 by one kernel, ``_series_fixed``,
+and each sum is rounded once by ``numkernel.round_scaled``:
 
 - PI            Machin arctangent series / AGM iteration
 - E             factorial Taylor series / continued fraction
@@ -84,7 +85,7 @@ def _pi_machin(wp: int) -> Real:
     def atan_inv(k: int) -> int:
         return _series_fixed(Fraction(1, k), lambda n: (-(2 * n + 1), (2 * n + 3) * k * k), w)
 
-    return to_real(Fraction(16 * atan_inv(5) - 4 * atan_inv(239), 1 << w), wp)
+    return nk.round_scaled(16 * atan_inv(5) - 4 * atan_inv(239), -w, wp)
 
 
 def _pi_agm(wp: int) -> Real:
@@ -113,7 +114,7 @@ def _e_taylor(wp: int) -> Real:
     # 1 + sum_{n>=0} 1/(n+1)!
     w = wp + 16
     total = (1 << w) + _series_fixed(Fraction(1), lambda n: (1, n + 2), w)
-    return to_real(Fraction(total, 1 << w), wp)
+    return nk.round_scaled(total, -w, wp)
 
 
 def _e_continued_fraction(wp: int) -> Real:
@@ -135,7 +136,7 @@ def _e_continued_fraction(wp: int) -> Real:
         q0, q1 = a * q0 + q1, q0
         if q0 * q1 > bound:
             break
-    return to_real(Fraction(h0, q0), wp)
+    return nk.round_scaled(h0, 0, wp, q0)
 
 
 # -- EULER_GAMMA -------------------------------------------------------------------
@@ -169,7 +170,7 @@ def _gamma_harmonic_em(wp: int, cut_doubling: int) -> Real:
             break
         acc += mag if b > 0 else -mag
         prev = mag
-    h = to_real(Fraction(acc, one), w)
+    h = nk.round_scaled(acc, -W, w)
     return nk.sub(h, nk.mul(to_real(t, w), nk.ln2(w), w), w).at(wp)
 
 
@@ -185,7 +186,7 @@ def _catalan_binomial(wp: int) -> Real:
     s3 = nk.sqrt(to_real(3, w), w)
     lnpart = nk.ln(nk.add(to_real(2, w), s3, w), w)
     out = nk.add(
-        to_real(Fraction(3 * s, 1 << (w + 3)), w),
+        nk.round_scaled(3 * s, -(w + 3), w),
         nk.mul(nk.ldexp(pi, -3), lnpart, w),
         w,
     )
@@ -213,7 +214,7 @@ def _zeta3_binomial(wp: int) -> Real:
     s = _series_fixed(
         Fraction(1, 2), lambda j: (-((j + 1) ** 3), 2 * (j + 2) ** 2 * (2 * j + 3)), w
     )
-    return to_real(Fraction(5 * s, 1 << (w + 1)), wp)
+    return nk.round_scaled(5 * s, -(w + 1), wp)
 
 
 def _zeta3_crvz(wp: int) -> Real:

@@ -31,6 +31,7 @@ __all__ = [
     "OracleRangeError",
     "Real",
     "to_real",
+    "round_scaled",
     "ln_rational",
     "PrimeLogTable",
     "agreement_digits",
@@ -260,6 +261,17 @@ def to_real(q: Rationalish, p: int) -> Real:
     if p < 2:
         raise SpecError("precision must be >= 2 bits")
     return Real.from_rational(q, p)
+
+
+def round_scaled(num: int, e: int, p: int, den: int = 1) -> Real:
+    """num * 2^e / den correctly rounded to p bits, for den >= 1: the value
+    of ``to_real(Fraction(num * 2^e, den), p)``, built from integers by one
+    correctly rounded division, with no gcd; mpf_div rounds without dividing
+    when den is a power of two."""
+    # not libmp.from_rational(num, den << -e): from_int strips the trailing
+    # zeros of den << -e 8 bits a shift at a time, which made the rounding
+    # 2.5 times slower at e = -448
+    return Real(libmp.mpf_div(libmp.from_man_exp(num, e), libmp.from_int(den), p, _RND), p)
 
 
 def add(a: Real, b: Real, p: int) -> Real:
@@ -535,10 +547,10 @@ class PrimeLogTable:
     from p and the bound sum |c_q| bitlen(q) of the exact vectors, so the
     sum's absolute error stays below 2^-(p+32) before that rounding, and the
     logs are cached per F, so every value is a function of the vectors, the
-    offset and p alone; the sum is rounded from integers, without building a
-    `Fraction`.  Each atom log equals ``ln_rational``'s bit for bit; below
-    the sieve cap it comes from smaller primes' logs by the recurrence of
-    ``_FixedLogs``.
+    offset and p alone; the sum is rounded by ``round_scaled``, without
+    building a `Fraction`.  Each atom log equals ``ln_rational``'s bit for
+    bit; below the sieve cap it comes from smaller primes' logs by the
+    recurrence of ``_FixedLogs``.
 
     The sieve, its list of primes and the log cache belong to one table; a
     table serves one evaluation run and is not shared across threads.
@@ -595,20 +607,8 @@ class PrimeLogTable:
         bound = sum(abs(c) * q.bit_length() for counts in vectors for q, c in counts.items())
         logs = self.fixed_logs(p, bound)
         total = sum(c * logs[q] for counts in vectors for q, c in counts.items() if c)
-        return _round_scaled(total, logs.bucket, offset, p)
-
-
-def _round_scaled(total: int, bucket: int, offset: Rationalish, p: int) -> Real:
-    """total * 2^-bucket + offset correctly rounded to p bits, the value of
-    ``to_real(Fraction(total, 2^bucket) + offset, p)``, built from integers
-    by one correctly rounded division by the offset's denominator; mpf_div
-    rounds without dividing when that denominator is a power of two."""
-    # not libmp.from_rational(total * den + (num << bucket), den << bucket):
-    # from_int strips the bucket's trailing zeros of den << bucket 8 bits a
-    # shift at a time, which made the rounding 2.5 times slower at F = 448
-    num, den = offset.numerator, offset.denominator
-    exact = libmp.from_man_exp(total * den + (num << bucket), -bucket)
-    return Real(libmp.mpf_div(exact, libmp.from_int(den), p, _RND), p)
+        num, den, f = offset.numerator, offset.denominator, logs.bucket
+        return round_scaled(total * den + (num << f), -f, p, den)
 
 
 def _floor_log10(v: Fraction):

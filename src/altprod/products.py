@@ -46,14 +46,17 @@ __all__ = [
     "builtin",
     "parse_product_spec",
     "partial_exact",
-    "log_partial",
     "ProductEvalSession",
     "limit",
 ]
 
 # exact-oracle integer budget: bits of numerator plus denominator, estimated
-# before any big multiplication is attempted
-ORACLE_BITS_CAP = 48_000_000
+# before any big multiplication is attempted.  Each multiply reduces by a gcd
+# that is quadratic in the accumulated size, so the time grows about as the
+# square of the budget: the largest admitted partial of every builtin took at
+# most 1.4 s at 2 Mbit (GS53R n = 29: 0.9 s) and up to 5.3 s at 4 Mbit
+# (x86-64, CPython 3.11)
+ORACLE_BITS_CAP = 2_000_000
 
 
 # -- field grammar ---------------------------------------------------------------
@@ -482,9 +485,10 @@ class ProductEvalSession:
     the counts are exact integers that cancel, so the prime exponents are
     those of f(k)'s reduced numerator and denominator however its text is
     written.  A constant e-exponent adds up in closed form, c times the
-    number of factors walked.  The walk goes forward or backward to the
-    truncation index of each request, so walking n upward visits each new
-    factor once.
+    number of factors walked.  The walk goes forward only, so walking n
+    upward visits each new factor once; a request below the factors walked
+    so far starts the counts again from k_start, which costs a new round of
+    WYNN or EULER far fewer factors than taking the walked ones away.
 
     ``log_partial`` splits each integer touched since the last request into
     atoms once (neighbouring factors of k/(k+1) share k + 1); a long walk
@@ -498,23 +502,27 @@ class ProductEvalSession:
 
     def __init__(self, spec: BridgedProductSpec):
         self.spec = spec
+        # the sieve and atom logs are pure caches, kept when the walk restarts
         self._logs = nk.PrimeLogTable()
+        self._restart()
+
+    def _restart(self) -> None:
+        """Forget the walked factors; the next walk starts at k_start."""
         self._pending = {}  # integer -> exponent change, not yet split
         self._counts = {}  # atom -> exact exponent over the walked factors
         self._e = Fraction(0)  # e-powers of the walked factors, when they depend on k
-        self._next_k = spec.k_start
+        self._next_k = self.spec.k_start
 
     def _walk(self, upper: int) -> None:
-        """Walk the factors k_start .. upper, adding or taking away each
-        factor's integer counts."""
+        """Walk the factors up to upper, adding each factor's integer counts;
+        a request below the factors walked so far starts again at k_start."""
+        if upper < self._next_k - 1:
+            self._restart()
         spec, pending = self.spec, self._pending
         factor_log, exponent = spec.factor_log, spec.exponent
         e_at = spec._e_exponent if callable(spec._e_exponent) else None
         done = self._next_k
-        if upper >= done:
-            ks, sign, after = range(done, upper + 1), 1, 1
-        else:
-            ks, sign, after = range(done - 1, upper, -1), -1, 0
+        ks = range(done, upper + 1)
         e_sum = 0
         chunk = _PENDING_CAP // 4
         try:
@@ -524,17 +532,16 @@ class ProductEvalSession:
                     m = exponent(k)
                     e = e_at(k) if e_at is not None else 0
                     if m:
-                        m *= sign
                         for v, c in pairs:
                             pending[v] = pending.get(v, 0) + c * m
                     e_sum += e
-                    done = k + after
+                    done = k + 1
                 if len(pending) > _PENDING_CAP:
                     self._split_pending()
         finally:
             self._next_k = done
             if e_sum:
-                self._e += e_sum if sign > 0 else -e_sum
+                self._e += e_sum
 
     def _split_pending(self) -> None:
         """Move the waiting integers' exponent changes onto their atoms."""
@@ -566,11 +573,6 @@ class ProductEvalSession:
         return logs.log_sum(p, [self._counts, bridge], e_total)
 
 
-def log_partial(spec: BridgedProductSpec, n: int, p: int) -> Real:
-    """From-scratch log of the n-th partial product (bridge included)."""
-    return ProductEvalSession(spec).log_partial(n, p)
-
-
 def _first_index(spec: BridgedProductSpec) -> int:
     for n in range(1, _PROBE_N + 1):
         if spec.upper_index(n) >= spec.k_start:
@@ -592,26 +594,16 @@ def limit(
         est = estimate_limit(seq, method, target_digits, p, max_terms_cap=max_terms_cap)
     except nk.NonConvergenceError as exc:
         # re-raise with the best effort mapped back to product scale
-        best = exc.best
-        if best is not None:
-            bv = nk.exp(best.value, p)
-            be = nk.add(
-                nk.mul(bv, best.error_estimate, p), nk.ldexp(bv, 4 - p), p
-            )
-            best = LimitEstimate(
-                value=bv,
-                error_estimate=be,
-                terms_used=best.terms_used,
-                method=best.method,
-            )
+        best = None if exc.best is None else _product_scale(exc.best, p)
         raise nk.NonConvergenceError(str(exc), best=best) from exc
+    return _product_scale(est, p)
+
+
+def _product_scale(est: LimitEstimate, p: int) -> LimitEstimate:
+    """A limit of log partials mapped to the product: e^x, with error
+    d(e^x) = e^x dx plus a couple of ulps for the exponential itself."""
     value = nk.exp(est.value, p)
-    # d(e^x) = e^x dx, plus a couple of ulps for the exponential itself
-    err = nk.add(
-        nk.mul(value, est.error_estimate, p),
-        nk.ldexp(value, 4 - p),
-        p,
-    )
+    err = nk.add(nk.mul(value, est.error_estimate, p), nk.ldexp(value, 4 - p), p)
     return LimitEstimate(
         value=value, error_estimate=err, terms_used=est.terms_used, method=est.method
     )

@@ -25,7 +25,7 @@ from altprod.constants import (
 )
 from altprod.numkernel import NonConvergenceError, SpecError
 
-mp.mp.dps = 160
+MP_DPS = 160  # mpmath digits for this module's tests (see conftest.py)
 
 # each evaluated at the working precision of the caller
 ORACLE = {

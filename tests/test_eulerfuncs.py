@@ -31,7 +31,7 @@ from altprod.eulerfuncs import (
 )
 from altprod.numkernel import DomainError, NonConvergenceError, SpecError
 
-mp.mp.dps = 80
+MP_DPS = 80  # mpmath digits for this module's tests (see conftest.py)
 
 
 def as_mpf(x):

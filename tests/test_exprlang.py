@@ -26,7 +26,7 @@ from altprod.exprlang import (
 )
 from altprod.numkernel import DomainError, OracleRangeError, SpecError
 
-mp.mp.dps = 80
+MP_DPS = 80  # mpmath digits for this module's tests (see conftest.py)
 
 
 def as_mpf(x):

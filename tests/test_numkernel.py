@@ -14,7 +14,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 from bounded import cli_snippet, run_bounded
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import isprime
 
@@ -455,47 +455,75 @@ def test_log_sum_is_the_exact_sum_rounded_once(vectors, offset, p):
         assert abs(as_mpf(got) - want) <= mp.mpf(2) ** -(p + 31) + abs(want) * mp.mpf(2) ** -p
 
 
-dyadic_offsets = st.builds(
-    lambda a, s: Fraction(a, 1 << s), st.integers(-(10**40), 10**40), st.integers(0, 512)
+def scaled_fraction(num, e, den):
+    return Fraction(num) * Fraction(2) ** e / den
+
+
+# denominators as the callers pass them: 1, powers of two, odd and even
+# non-powers of two (J!, CRVZ's d and d d1, a continued fraction's q)
+denominators = st.one_of(
+    st.just(1),
+    st.builds(lambda k: 1 << k, st.integers(1, 600)),
+    st.sampled_from([3, 6, 7, 3 * 5 * 7 * 2**20, 10**12 + 1, 577**9 * 2]),
+    st.integers(1, 2**200),
 )
 
 
 @given(
-    total=st.integers(-(2**900), 2**900),
-    bucket=st.sampled_from([64, 128, 448, 1024]),
-    offset=st.one_of(st.integers(-(10**6), 10**6), dyadic_offsets, small_fractions,
-                     st.sampled_from([Fraction(1, 3), Fraction(-5, 7)])),
+    num=st.integers(-(2**900), 2**900),
+    e=st.one_of(st.integers(-1200, 400), st.sampled_from([-1024, -448, -64, 0, 64])),
+    den=denominators,
     p=st.integers(2, 400),
 )
-@settings(max_examples=200, deadline=None)
-def test_log_sum_rounding_is_the_fraction_rounding(total, bucket, offset, p):
-    got = nk._round_scaled(total, bucket, offset, p)
+@settings(max_examples=300, deadline=None)
+def test_round_scaled_is_the_fraction_rounding(num, e, den, p):
+    got = nk.round_scaled(num, e, p, den)
     assert got.precision_bits == p
-    assert got.raw == nk.to_real(Fraction(total, 1 << bucket) + offset, p).raw
+    assert got.raw == nk.to_real(scaled_fraction(num, e, den), p).raw
 
 
 @given(
     mantissa=st.integers(1, 2**400),
     shift=st.integers(-600, 600),
     negative=st.booleans(),
-    bucket=st.sampled_from([64, 448, 1024]),
-    offset=st.one_of(st.just(Fraction(0)), dyadic_offsets),
+    den=denominators,
+    spare=st.integers(0, 80),
 )
-@settings(max_examples=200, deadline=None)
-def test_log_sum_rounding_breaks_exact_ties_like_the_fraction_rounding(
-    mantissa, shift, negative, bucket, offset
+@settings(max_examples=300, deadline=None)
+def test_round_scaled_breaks_exact_ties_like_the_fraction_rounding(
+    mantissa, shift, negative, den, spare
 ):
-    # (2m + 1) * 2^shift lies halfway between two p-bit values, p = bitlen(m)
+    # (2m + 1) * 2^shift lies halfway between two p-bit values, p = bitlen(m);
+    # it is written as num * 2^e / den with den not cancelled beforehand
     tie = Fraction(2 * mantissa + 1) * Fraction(2) ** shift * (-1 if negative else 1)
-    scaled = (tie - offset) * (1 << bucket)
-    assume(scaled.denominator == 1)
+    num = (-1 if negative else 1) * (2 * mantissa + 1) * den << spare
+    e = shift - spare
+    assert scaled_fraction(num, e, den) == tie
     p = max(2, mantissa.bit_length())
     want = nk.to_real(tie, p)
     if p == mantissa.bit_length():
         assert want.to_fraction() != tie
         assert nk.to_real(tie, p + 1).to_fraction() == tie
-    got = nk._round_scaled(scaled.numerator, bucket, offset, p)
-    assert got.raw == want.raw
+    assert nk.round_scaled(num, e, p, den).raw == want.raw
+
+
+@given(
+    vector=atom_counts,
+    offset=st.one_of(st.integers(-(10**6), 10**6), small_fractions,
+                     st.builds(lambda a, s: Fraction(a, 1 << s),
+                               st.integers(-(10**40), 10**40), st.integers(0, 512))),
+    p=st.integers(2, 400),
+)
+@settings(max_examples=100, deadline=None)
+def test_log_sum_rounds_the_fixed_point_total_plus_offset_once(vector, offset, p):
+    table = nk.PrimeLogTable()
+    counts = {}
+    for q, c in vector.items():
+        table.add(counts, q, c)
+    got = table.log_sum(p, [counts], offset)
+    logs = table.fixed_logs(p, sum(abs(c) * q.bit_length() for q, c in counts.items()))
+    total = sum(c * logs[q] for q, c in counts.items())
+    assert got.raw == nk.to_real(Fraction(total, 1 << logs.bucket) + offset, p).raw
 
 
 def test_log_sum_bits_do_not_depend_on_earlier_requests():

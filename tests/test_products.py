@@ -20,14 +20,19 @@ from hypothesis import strategies as st
 from altprod import accel
 from altprod import numkernel as nk
 from altprod import products as pr
-from altprod.accel import RAW
+from altprod.accel import RAW, WYNN
 from altprod.numkernel import DomainError, NonConvergenceError, OracleRangeError, SpecError
 
-mp.mp.dps = 80
+MP_DPS = 80  # mpmath digits for this module's tests (see conftest.py)
 
 
 def as_mpf(x):
     return mp.make_mpf(x.raw)
+
+
+def fresh_log_partial(spec, n, p):
+    """The n-th log partial from a new session, walked from k_start."""
+    return pr.ProductEvalSession(spec).log_partial(n, p)
 
 
 def mpq(f: Fraction):
@@ -124,11 +129,11 @@ def test_bridge_base_must_stay_positive_in_both_forms():
     # the exact bridge and its split into powers refuse the same bases
     for base in ("1-2*n", "(1-2*n)^3*(n+1)", "(n-1)*(n+2)"):
         spec = spec_with(bridge=f"{base} ; 1 ; 0")
-        for form in (lambda: spec.bridge(1), lambda: pr.log_partial(spec, 1, 64)):
+        for form in (lambda: spec.bridge(1), lambda: fresh_log_partial(spec, 1, 64)):
             with pytest.raises(DomainError, match="bridge base at n=1"):
                 form()
     spec = spec_with(bridge="2/(n-1) ; 1 ; 0")
-    for form in (lambda: spec.bridge(1), lambda: pr.log_partial(spec, 1, 64)):
+    for form in (lambda: spec.bridge(1), lambda: fresh_log_partial(spec, 1, 64)):
         with pytest.raises(SpecError, match="division by zero"):
             form()
     # an even power of a negative integer is positive
@@ -136,7 +141,7 @@ def test_bridge_base_must_stay_positive_in_both_forms():
     exact = pr.partial_exact(spec, 3)
     with mp.workprec(260):
         want = mp.log(mpq(exact.rational_part)) + mpq(exact.e_power)
-        assert abs(as_mpf(pr.log_partial(spec, 3, 200)) - want) <= abs(want) * mp.mpf(2) ** -199
+        assert abs(as_mpf(fresh_log_partial(spec, 3, 200)) - want) <= abs(want) * mp.mpf(2) ** -199
 
 
 def test_syntax_error_names_the_field_and_byte_offset():
@@ -343,7 +348,7 @@ def test_fourth_power_decomposition_is_exact():
 
 
 def test_log_partial_matches_ln_of_exact_rational():
-    got = pr.log_partial(pr.builtin("KT3"), 1, 128)
+    got = fresh_log_partial(pr.builtin("KT3"), 1, 128)
     want = nk.ln_rational(Fraction(27, 25), 128)
     assert nk.agreement_digits(got, want) >= nk.digits_for_bits(128) - 4
     assert nk.truncated_decimal(got, 5).startswith("0.076961")
@@ -351,7 +356,7 @@ def test_log_partial_matches_ln_of_exact_rational():
 
 def test_log_partial_includes_e_channel_and_bridge():
     p = 160
-    got = pr.log_partial(pr.builtin("HOLCOMBE"), 2, p)
+    got = fresh_log_partial(pr.builtin("HOLCOMBE"), 2, p)
     want = nk.add(
         nk.to_real(Fraction(5, 2), p),
         nk.mul(nk.ln_rational(Fraction(3, 4), p), nk.to_real(4, p), p),
@@ -390,7 +395,7 @@ def test_incremental_session_matches_from_scratch_bit_for_bit():
     spec = pr.builtin("GS55R")
     session = pr.ProductEvalSession(spec)
     walked = [session.log_partial(n, 160) for n in range(13)]
-    fresh = [pr.log_partial(spec, n, 160) for n in range(13)]
+    fresh = [fresh_log_partial(spec, n, 160) for n in range(13)]
     assert [w.raw for w in walked] == [f.raw for f in fresh]
 
 
@@ -399,7 +404,7 @@ def test_session_restarts_when_the_truncation_map_goes_backward():
     session = pr.ProductEvalSession(spec)
     session.log_partial(8, 160)
     again = session.log_partial(2, 160)
-    assert again.raw == pr.log_partial(spec, 2, 160).raw
+    assert again.raw == fresh_log_partial(spec, 2, 160).raw
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -459,6 +464,39 @@ def test_raw_limit_walks_the_factors_once(monkeypatch):
         pr.limit(spec, nk.bits_for_digits(30), 30, method=RAW, max_terms_cap=512)
     assert len(factors) == spec.upper_index(512) - spec.k_start + 1
     assert 0 < len(logs) <= len(_distinct_atoms(spec, [512]))
+
+
+def test_wynn_rounds_walk_each_factor_once_per_fresh_walk(monkeypatch):
+    # every WYNN round requests n0, n0 + 1, ... again: a request below the
+    # factors walked so far starts again at k_start, so factor_log runs once
+    # per factor of each fresh walk and never for taking a factor away
+    spec = pr.builtin("KT3")
+    requests = _count_calls(monkeypatch, pr.ProductEvalSession, "log_partial")
+    factors = _count_calls(monkeypatch, pr.BridgedProductSpec, "factor_log")
+    try:
+        pr.limit(spec, nk.bits_for_digits(40), 40, method=WYNN)
+    except NonConvergenceError:
+        pass
+    walked, want, restarts = spec.k_start - 1, [], 0
+    for _, n, _ in requests:
+        upper = max(spec.upper_index(n), spec.k_start - 1)
+        if upper < walked:
+            walked, restarts = spec.k_start - 1, restarts + 1
+        want.extend(range(walked + 1, upper + 1))
+        walked = max(walked, upper)
+    assert restarts >= 2
+    assert [k for _, k in factors] == want
+
+
+def test_a_request_below_a_walk_that_raised_starts_again_clean():
+    # the walk to n = 5 adds k = 5, 6 and then raises at the zero factor
+    # k = 7; a lower request starts again at k_start without those counts
+    spec = pr.parse_product_spec("name = z\nfactor = (k-7)^2/k\nexponent = k\nupper = 2*n")
+    session = pr.ProductEvalSession(spec)
+    session.log_partial(2, 128)
+    with pytest.raises(DomainError, match="k=7"):
+        session.log_partial(5, 128)
+    assert session.log_partial(1, 128).raw == fresh_log_partial(spec, 1, 128).raw
 
 
 def _digest(values) -> str:
@@ -589,7 +627,7 @@ def test_factor_log_takes_negated_parts_in_absolute_value():
     assert spec.factor(5) == Fraction(5, 6)
     kt1 = pr.builtin("KT1")
     for n in (0, 7, 40):
-        assert pr.log_partial(spec, n, 160).raw == pr.log_partial(kt1, n, 160).raw
+        assert fresh_log_partial(spec, n, 160).raw == fresh_log_partial(kt1, n, 160).raw
 
 
 def test_factor_log_raises_what_the_factor_raises():
@@ -638,7 +676,7 @@ def test_a_session_crossing_a_bucket_returns_the_fresh_values(name, ns, boundary
     buckets, fixed_logs = set(), session._logs.fixed_logs
     session._logs.fixed_logs = lambda p, b: buckets.add((logs := fixed_logs(p, b)).bucket) or logs
     for n in ns:
-        assert session.log_partial(n, p).raw == pr.log_partial(spec, n, p).raw
+        assert session.log_partial(n, p).raw == fresh_log_partial(spec, n, p).raw
     assert buckets == {64 * boundary, 64 * boundary + 64}
 
 
@@ -646,7 +684,7 @@ def test_a_session_crossing_a_bucket_returns_the_fresh_values(name, ns, boundary
 def test_session_bits_do_not_depend_on_the_request_order(name):
     spec = pr.builtin(name)
     p, ns = 200, [3, 17, 40, 41, 90]
-    fresh = {(n, q): pr.log_partial(spec, n, q).raw for n in ns for q in (p, p + 64)}
+    fresh = {(n, q): fresh_log_partial(spec, n, q).raw for n in ns for q in (p, p + 64)}
     higher_first = pr.ProductEvalSession(spec)
     for n in ns:
         assert higher_first.log_partial(n, p + 64).raw == fresh[n, p + 64]
@@ -660,10 +698,11 @@ def test_session_bits_do_not_depend_on_the_request_order(name):
 @pytest.mark.parametrize("name", ["KT1", "GS53R", "HOLCOMBE"])
 def test_a_walk_with_a_bounded_buffer_returns_the_fresh_values(monkeypatch, name):
     # a cap of 8 splits the waiting integers every few factors of each walk,
-    # forward and backward, and leaves at most 8 waiting after it
+    # the first one and those that start again lower, and leaves at most 8
+    # waiting after it
     spec = pr.builtin(name)
     p, ns = 200, [90, 3, 41, 200]
-    fresh = {n: pr.log_partial(spec, n, p).raw for n in ns}
+    fresh = {n: fresh_log_partial(spec, n, p).raw for n in ns}
     monkeypatch.setattr(pr, "_PENDING_CAP", 8)
     session = pr.ProductEvalSession(spec)
     for n in ns:
@@ -690,15 +729,15 @@ def test_gs53r_bridge_log_past_the_exact_power_cap_matches_mpmath():
     n, p = 240_000, 256
     spec = pr.parse_product_spec(_GS53R_BRIDGE_ONLY)
     assert spec.bridge_log(n) == pr.builtin("GS53R").bridge_log(n)
-    got = pr.log_partial(spec, n, p)
+    got = fresh_log_partial(spec, n, p)
     with mp.workprec(p + 64):
         want = n * ((4 * n + 5) * mp.log(2 * n + 2) - (12 * n + 9) * mp.log(2 * n + 1))
         assert abs(as_mpf(got) - want) <= abs(want) * mp.mpf(2) ** (1 - p)
 
 
 def test_partial_exact_refuses_gs53r_at_240000_before_multiplying():
-    # the factor powers alone pass the budget at k = 162; adding up the whole
-    # estimate first refuses at once instead of building ~48 Mbit rationals
+    # the factor powers alone pass the budget at k = 60; adding up the whole
+    # estimate first refuses at once instead of building the rationals
     code = (
         "from altprod import products as pr\n"
         "try:\n"
@@ -736,6 +775,23 @@ def test_gs53r_table_past_the_sieve_cap_keeps_its_row_and_memory():
         assert int(peak_kb) < 120 * 1024
 
 
+def test_partial_exact_at_the_largest_admitted_gs53r_index_ends_in_bounded_time():
+    # GS53R n = 29 is about 1.9 Mbit, under the budget, and took 0.9 s on an
+    # x86-64 host; n = 30, 2.1 Mbit, is refused before any multiplication
+    code = (
+        "from altprod import products as pr\n"
+        "spec = pr.builtin('GS53R')\n"
+        "pr.partial_exact(spec, 29)\n"
+        "try:\n"
+        "    pr.partial_exact(spec, 30)\n"
+        "except pr.OracleRangeError as err:\n"
+        "    print(err)\n"
+    )
+    run = run_bounded(code, budget_s=30)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "GS53R: exact partial at n=30 exceeds the integer budget"
+
+
 def test_partial_exact_still_refuses_the_bridge_past_the_exact_power_cap():
     with pytest.raises(OracleRangeError, match="exact power"):
         pr.builtin("GS53R").bridge(240_000)
@@ -767,7 +823,7 @@ def test_parameterized_oracle_equivalence_property(a, b, n):
     spec = pr.builtin("BD_D", x)
     exact = pr.partial_exact(spec, n)
     p = 160
-    got = pr.log_partial(spec, n, p)
+    got = fresh_log_partial(spec, n, p)
     with mp.workdps(100):
         want = mp.log(mpq(exact.rational_part)) + mpq(exact.e_power)
         scale = max(1, abs(want))

@@ -32,7 +32,7 @@ from altprod.zetagamma import (
     zeta_sderiv,
 )
 
-mp.mp.dps = 160
+MP_DPS = 160  # mpmath digits for this module's tests (see conftest.py)
 
 P50 = nk.bits_for_digits(50)
 
