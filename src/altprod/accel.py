@@ -10,8 +10,9 @@ sequences into accelerated limit estimates with empirical error estimates:
 - ``euler_transform_sum``  the binary-averaged Euler transform, which also
   sums series with growing terms in the Abel sense,
 - ``wynn_epsilon_limit``   the epsilon algorithm on partial sums,
-- ``richardson_limit``     polynomial extrapolation in 1/n, an exact dot
-  product of the samples with closed-form Lagrange weights,
+- ``richardson_limit``     polynomial extrapolation in 1/n: a fixed linear
+  functional of the sequence, with closed-form integer Lagrange weights,
+  which the sequence evaluates exactly through its ``combine`` hook,
 - ``estimate_limit``       a driver that doubles the term budget until an
   error target is met, or until the last doubling shows it out of reach.
 
@@ -19,6 +20,15 @@ Everything operates in log space by convention: callers hand in log partial
 products, never the products themselves, so magnitudes stay O(1).  The
 Richardson and CRVZ dot products and the Euler transform's grid are exact
 integer sums, each rounded once by ``numkernel.round_scaled``.
+
+Extrapolation to 0 through the nodes 1/n_i is sum_i w_i s(n_i) / J! with
+integer weights that depend on the nodes alone (see Sidi, *Practical
+Extrapolation Methods*, 2003, on the Richardson process), so a sequence that
+can evaluate such a sum exactly supplies it as ``SequenceGen.combine``: a
+product's log partials walk their factors once with the weights folded in
+and round each sum once, with no sample and no precision boost.  Any other
+sequence is sampled at a precision boosted for the weights' cancellation and
+the samples' exact dot product is rounded once.
 
 Error estimates are |last - previous| of the accelerated diagonal: an
 empirical indicator, not a bound.  Callers that need certainty re-run at a
@@ -70,17 +80,34 @@ class SequenceGen:
     ``term_at(n, p)`` must be deterministic: the same (n, p) always yields
     the same Real.  ``kind`` says whether values are partial sums of the
     target or the magnitudes b_n of an alternating series sum (-1)^(n-n0) b_n.
+
+    ``combine(n, p, weights, den)``, when given, returns one Real per integer
+    weight vector (w_0 .. w_J): sum_i w_i t(n - J + i) / den, each rounded
+    once to p bits.  Without it, ``weighted`` samples ``term_at``.
     """
 
     term_at: Callable[[int, int], Real]
     n0: int
     kind: str
+    combine: Optional[Callable[[int, int, tuple, int], list]] = None
 
     def __post_init__(self):
         if self.kind not in (PARTIAL_SUMS, ALTERNATING_TERMS):
             raise SpecError(f"unknown sequence kind {self.kind!r}")
         if self.n0 < 0:
             raise SpecError("n0 must be >= 0")
+
+    def weighted(self, n: int, p: int, weights: tuple, den: int) -> list:
+        """sum_i w_i t(n - J + i) / den for each weight vector, rounded to p
+        bits: by ``combine`` when given, else from samples of ``term_at``
+        taken at p plus the first vector's conditioning plus 32 bits, whose
+        exact dot products over their dyadic mantissas are rounded once."""
+        if self.combine is not None:
+            return self.combine(n, p, weights, den)
+        count = len(weights[0])
+        wp = p + _node_condition_bits(weights[0], den) + 32
+        mans, e = _common_mantissas(self.term_at(n - count + 1 + i, wp) for i in range(count))
+        return [nk.round_scaled(sum(w * a for w, a in zip(ws, mans)), e, p, den) for ws in weights]
 
 
 @dataclass(frozen=True)
@@ -354,18 +381,28 @@ def _lagrange_weights(n0: int, m: int) -> list:
     return weights
 
 
-def _node_condition_bits(weights: list) -> int:
-    """Bits of cancellation in extrapolating to 0 with the integer Lagrange
-    weights of ``_lagrange_weights``, whose common denominator is m!.
+def _lower_weights(weights: list, n0: int) -> list:
+    """``_lagrange_weights(n0, m - 1)`` from ``weights = _lagrange_weights(n0,
+    m)``, exactly: C(m-1, i) = C(m, i) (m - i) / m, so the weight of node i
+    is -w_i (m - i) / (m n_i), an integer."""
+    m = len(weights) - 1
+    return [-w * (m - i) // (m * (n0 + i)) for i, w in enumerate(weights[:m])]
+
+
+def _node_condition_bits(weights: list, den: Optional[int] = None) -> int:
+    """Bits of cancellation in extrapolating to 0 with integer weights over
+    their common denominator den, by default m! as for the count = m + 1
+    weights of ``_lagrange_weights``.
 
     log2 of the largest weight at 0, rounded up from the exact integer
     weights, plus the bits of the weight count.
     """
     count = len(weights)
-    m = count - 1
+    if den is None:
+        den = math.factorial(count - 1)
     top = max(abs(w) for w in weights)
-    # 2^(bitlen(top) - bitlen(m!) + 1) exceeds top / m!, so this never undercounts
-    weight_bits = top.bit_length() - math.factorial(m).bit_length() + 1
+    # 2^(bitlen(top) - bitlen(den) + 1) exceeds top / den, so this never undercounts
+    weight_bits = top.bit_length() - den.bit_length() + 1
     return max(0, weight_bits + count.bit_length() + 4)
 
 
@@ -374,13 +411,15 @@ def richardson_limit(
 ) -> LimitEstimate:
     """Extrapolate s_n -> s assuming s_n = s + c1/n + c2/n^2 + ...
 
-    The interpolating polynomial through (1/n, s_n) is evaluated at 0 as a dot
-    product with the closed-form Lagrange weights, once through all J+1 nodes
-    and once through the first J; their difference is the error estimate.
-    Nodes are consecutive indices n0, n0+1, ...; the samples are taken at a
-    working precision that the conditioning estimate boosts to pay for the
-    extrapolation's cancellation, and both dot products are summed exactly
-    over the samples' dyadic mantissas and rounded once.
+    The interpolating polynomial through (1/n, s_n) at the consecutive nodes
+    n0 .. n0 + J, evaluated at 0, is sum_i w_i s(n_i) / J! with the
+    closed-form Lagrange weights; through the first J nodes it is
+    sum_i w'_i s(n_i) / (J-1)!, whose weights follow from the w_i exactly.
+    The sequence's ``weighted`` evaluates two vectors over den = J!: the
+    J-node weights, whose sum is the value, and w_i - J w'_i, whose sum is
+    the difference of the two extrapolations and, in absolute value, the
+    error estimate.  Each is rounded once to p bits.  A sequence whose terms
+    are all equal has an error vector that sums to exactly 0.
     """
     if seq.kind != PARTIAL_SUMS:
         raise SpecError("richardson_limit needs a PARTIAL_SUMS sequence")
@@ -391,19 +430,13 @@ def richardson_limit(
         raise SpecError("max_terms must allow at least two samples")
     n0 = seq.n0
     weights = _lagrange_weights(n0, J)
-    wp = p + _node_condition_bits(weights) + 32
-    t = [seq.term_at(n0 + i, wp) for i in range(J + 1)]
-    if short := _all_equal_shortcut(t, RICHARDSON, n0 + J):
-        return short
-
-    mans, e = _common_mantissas(t)
-    full = sum(w * a for w, a in zip(weights, mans))
-    lower = sum(w * a for w, a in zip(_lagrange_weights(n0, J - 1), mans))
     # the J-node value is lower / (J-1)! = J * lower / J!
-    den = math.factorial(J)
+    lower = _lower_weights(weights, n0) + [0]
+    spread = [w - J * v for w, v in zip(weights, lower)]
+    value, diff = seq.weighted(n0 + J, p, (weights, spread), math.factorial(J))
     return LimitEstimate(
-        value=nk.round_scaled(full, e, p, den),
-        error_estimate=nk.round_scaled(abs(full - J * lower), e, p, den),
+        value=value,
+        error_estimate=abs(diff),
         terms_used=n0 + J,
         method=RICHARDSON,
     )

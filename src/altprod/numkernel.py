@@ -542,15 +542,19 @@ class PrimeLogTable:
     primes.  A rest of at least 2^32 that no sieve prime divides is kept
     whole as an atom of its own.
     ``log_sum`` evaluates sum c_q ln q over one or more vectors plus an exact
-    rational offset as one exact dot product of the atoms' fixed-point logs,
-    rounded once.  ``fixed_logs`` gives those logs: its fixed point F comes
-    from p and the bound sum |c_q| bitlen(q) of the exact vectors, so the
-    sum's absolute error stays below 2^-(p+32) before that rounding, and the
-    logs are cached per F, so every value is a function of the vectors, the
-    offset and p alone; the sum is rounded by ``round_scaled``, without
-    building a `Fraction`.  Each atom log equals ``ln_rational``'s bit for
-    bit; below the sieve cap it comes from smaller primes' logs by the
-    recurrence of ``_FixedLogs``.
+    rational offset, all divided by an integer den, as one exact dot product
+    of the atoms' fixed-point logs, rounded once.  ``fixed_logs`` gives those
+    logs: its fixed point F comes from p and the bound sum |c_q| bitlen(q) of
+    the exact vectors divided by den, so the quotient's absolute error stays
+    below 2^-(p+32) before that rounding, and the logs are cached per F, so
+    every value is a function of the vectors, the offset, den and p alone;
+    the quotient is rounded by ``round_scaled``, without building a
+    `Fraction`.  A den above 1 is how a linear combination of log partials
+    with rational weights, such as an extrapolation to the limit, is
+    evaluated: the vectors carry the integer numerators, and F is sized for
+    the combination, not for its terms.  Each atom log equals
+    ``ln_rational``'s bit for bit; below the sieve cap it comes from smaller
+    primes' logs by the recurrence of ``_FixedLogs``.
 
     The sieve, its list of primes and the log cache belong to one table; a
     table serves one evaluation run and is not shared across threads.
@@ -588,9 +592,10 @@ class PrimeLogTable:
             counts[q] = counts.get(q, 0) + m
 
     def fixed_logs(self, p: int, bound: int) -> _FixedLogs:
-        """The atom logs for a dot product rounded to p bits whose vectors
-        have sum |c_q| bitlen(q) = bound: a mapping atom -> round(ln q * 2^F),
-        with the fixed point F in its ``bucket``."""
+        """The atom logs for a dot product rounded to p bits whose vectors,
+        over the product's denominator, have sum |c_q| bitlen(q) <= bound: a
+        mapping atom -> round(ln q * 2^F), with the fixed point F in its
+        ``bucket``."""
         # at F >= wp bits each atom log is off by at most 2^-F ln q, and
         # ln q < bitlen(q), so the dot product is off by less than
         # bound * 2^-F <= 2^-(p+32); F rounds wp up to a multiple of 64, so
@@ -602,13 +607,18 @@ class PrimeLogTable:
             logs = self._fixed_logs[bucket] = _FixedLogs(bucket, self._spf)
         return logs
 
-    def log_sum(self, p: int, vectors, offset: Rationalish = 0) -> Real:
-        """sum over the vectors of sum c_q ln q, plus offset, rounded once to p bits."""
+    def log_sum(self, p: int, vectors, offset: Rationalish = 0, den: int = 1) -> Real:
+        """(sum over the vectors of sum c_q ln q, plus offset) / den, for an
+        integer den >= 1, rounded once to p bits.
+
+        F is sized from the vectors' bound divided by den, rounded up: each
+        atom log's error is divided by den too, and sizing from the bound
+        alone would buy bitlen(den) bits the quotient does not need."""
         bound = sum(abs(c) * q.bit_length() for counts in vectors for q, c in counts.items())
-        logs = self.fixed_logs(p, bound)
+        logs = self.fixed_logs(p, -(-bound // den))
         total = sum(c * logs[q] for counts in vectors for q, c in counts.items() if c)
-        num, den, f = offset.numerator, offset.denominator, logs.bucket
-        return round_scaled(total * den + (num << f), -f, p, den)
+        num, off_den, f = offset.numerator, offset.denominator, logs.bucket
+        return round_scaled(total * off_den + (num << f), -f, p, off_den * den)
 
 
 def _floor_log10(v: Fraction):

@@ -17,15 +17,21 @@ log form, its integers with exact integer exponents, adds m_k times those
 exponents to a count per integer; each integer touched since the last
 request is split into primes once, and the log partial is the prime log
 table's ``log_sum`` of the prime exponents, rounded once.  Limits are
-delegated to the sequence-acceleration module on the log-partial sequence.
+delegated to the sequence-acceleration module on the log-partial sequence,
+whose ``combine`` hook is the session's ``log_partial`` with weights: a
+Richardson round asks for its extrapolation and its error estimate as two
+integer weight vectors over the nodes, and gets them from one walk over the
+factors, each an exact sum of prime logs rounded once.
 
 Specs are built from a flat key-value text form; the built-in catalog goes
 through the same parser, so user-defined products follow an identical code
 path.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional, Tuple, Union
 
 from . import exprlang as ex
@@ -496,7 +502,16 @@ class ProductEvalSession:
     buffer stays bounded while the atom counts grow only with the primes.
     The value is the table's ``log_sum`` of the counts and the bridge's
     pairs, with the e-part as its offset, so it is a function of (n, p)
-    alone, whatever was requested before.  Sessions are meant for a single
+    alone, whatever was requested before.
+
+    With integer weight vectors over the nodes ending at n, ``log_partial``
+    returns sum_i w_i s(n_i) / den for each vector, exactly as one more
+    request would: the sum is linear in the walk.  A factor at k lies in the
+    partials of every node whose upper index reaches k, so in one forward
+    walk it carries the suffix sum W(k) of the weights of those nodes; each
+    node's bridge pairs and e-part carry that node's own weight.  So the
+    factors are walked once, each vector is one exact atom count, and its
+    value is one ``log_sum`` divided by den.  Sessions are meant for a single
     evaluation run and are not shared across threads.
     """
 
@@ -513,9 +528,11 @@ class ProductEvalSession:
         self._e = Fraction(0)  # e-powers of the walked factors, when they depend on k
         self._next_k = self.spec.k_start
 
-    def _walk(self, upper: int) -> None:
-        """Walk the factors up to upper, adding each factor's integer counts;
-        a request below the factors walked so far starts again at k_start."""
+    def _walk(self, upper: int, into: Optional[dict] = None) -> None:
+        """Walk the factors up to upper, adding each factor's integer counts
+        and splitting them onto the atom counts ``into`` (the session's by
+        default) when too many wait; a request below the factors walked so
+        far starts again at k_start."""
         if upper < self._next_k - 1:
             self._restart()
         spec, pending = self.spec, self._pending
@@ -537,40 +554,100 @@ class ProductEvalSession:
                     e_sum += e
                     done = k + 1
                 if len(pending) > _PENDING_CAP:
-                    self._split_pending()
+                    self._split_pending(into)
         finally:
             self._next_k = done
             if e_sum:
                 self._e += e_sum
 
-    def _split_pending(self) -> None:
-        """Move the waiting integers' exponent changes onto their atoms."""
-        logs, counts = self._logs, self._counts
+    def _split_pending(self, into: Optional[dict] = None) -> None:
+        """Move the waiting integers' exponent changes onto the atom counts
+        ``into``, the session's by default."""
+        logs = self._logs
+        into = self._counts if into is None else into
         for v, d in self._pending.items():
             if d:
-                logs.add(counts, v, d)
+                logs.add(into, v, d)
         self._pending.clear()
 
-    def log_partial(self, n: int, p: int) -> Real:
-        if n < 0:
+    def log_partial(self, n: int, p: int, weights=None, den: int = 1) -> Union[Real, list]:
+        """The log partial s(n) rounded to p bits; with ``weights``, a list
+        with one Real per integer vector (w_0 .. w_J) over the nodes n - J ..
+        n, the sum of w_i s(n - J + i) over den, each rounded once to p bits.
+
+        Without weights the request is the one-node case ((1,),).  A node
+        whose upper index does not exceed the one before raises SpecError:
+        the suffix weights assume that the walk only grows.
+        """
+        vectors = ((1,),) if weights is None else weights
+        count = len(vectors[0])
+        if any(len(w) != count for w in vectors):
+            raise SpecError("weight vectors must all have one weight per node")
+        first = n - count + 1
+        if first < 0:
             raise SpecError("partial index must be >= 0")
-        spec = self.spec
-        upper = max(spec.upper_index(n), spec.k_start - 1)
-        self._walk(upper)
-        if callable(spec._e_exponent):
-            e_total = self._e
-        else:
-            e_total = spec._e_exponent * (self._next_k - spec.k_start)
-        logs = self._logs
-        bridge = {}
-        br = spec.bridge_log(n)
-        if br is not None:
-            pairs, epower = br
-            e_total += epower
-            for v, m in pairs:
-                logs.add(bridge, v, m)
-        self._split_pending()
-        return logs.log_sum(p, [self._counts, bridge], e_total)
+        spec, logs = self.spec, self._logs
+        # suffix[v][i]: the weight of a factor first walked for node i
+        suffix = [list(accumulate(reversed(w)))[::-1] for w in vectors]
+        e_varies = callable(spec._e_exponent)
+        atoms, bridges = None, [{} for _ in vectors]
+        e_walked, e_bridge = [], []  # per node
+        prev = None
+        for i, node in enumerate(range(first, n + 1)):
+            raw_upper = spec.upper_index(node)
+            if prev is not None and raw_upper <= prev:
+                raise SpecError(
+                    f"{spec.name}: upper must increase strictly with n, but upper({node})"
+                    f" = {raw_upper} after upper({node - 1}) = {prev}"
+                )
+            prev = raw_upper
+            upper = max(raw_upper, spec.k_start - 1)
+            if i == 0:
+                self._walk(upper)
+                self._split_pending()
+                atoms = [{q: s[0] * c for q, c in self._counts.items()} for s in suffix]
+            else:
+                seg = {}  # the atoms of the factors first walked for this node
+                try:
+                    self._walk(upper, seg)
+                    self._split_pending(seg)
+                finally:
+                    # a walk that raised keeps the counts of what it walked
+                    for q, c in seg.items():
+                        self._counts[q] = self._counts.get(q, 0) + c
+                for s, cv in zip(suffix, atoms):
+                    if s[i]:
+                        for q, c in seg.items():
+                            cv[q] = cv.get(q, 0) + s[i] * c
+            # the factors' e-powers, or their count when the e-exponent is constant
+            e_walked.append(self._e if e_varies else self._next_k - spec.k_start)
+            br = spec.bridge_log(node)
+            if br is None:
+                e_bridge.append(0)
+            else:
+                pairs, epower = br
+                e_bridge.append(epower)
+                node_bridge = {}
+                for v, m in pairs:
+                    logs.add(node_bridge, v, m)
+                for w, bv in zip(vectors, bridges):
+                    if w[i]:
+                        for q, c in node_bridge.items():
+                            bv[q] = bv.get(q, 0) + w[i] * c
+        values = []
+        for w, cv, bv in zip(vectors, atoms, bridges):
+            e_part = _exact_dot(w, e_walked)
+            if not e_varies:
+                e_part *= spec._e_exponent
+            values.append(logs.log_sum(p, [cv, bv], e_part + _exact_dot(w, e_bridge), den))
+        return values[0] if weights is None else values
+
+
+def _exact_dot(weights, values) -> Fraction:
+    """sum w_i x_i of integer weights and rational values, summed in integers
+    over the values' common denominator."""
+    den = math.lcm(*(x.denominator for x in values))
+    return Fraction(sum(w * x.numerator * (den // x.denominator) for w, x in zip(weights, values)), den)
 
 
 def _first_index(spec: BridgedProductSpec) -> int:
@@ -587,9 +664,18 @@ def limit(
     method: str = RICHARDSON,
     max_terms_cap: int = 2048,
 ) -> LimitEstimate:
-    """Accelerated limit of the product, exponentiated back from log space."""
+    """Accelerated limit of the product, exponentiated back from log space.
+
+    RICHARDSON rounds take their weighted sums from one walk of the session
+    (``log_partial`` with weights); WYNN, EULER and RAW sample log partials.
+    """
     session = ProductEvalSession(spec)
-    seq = SequenceGen(term_at=session.log_partial, n0=_first_index(spec), kind=PARTIAL_SUMS)
+    seq = SequenceGen(
+        term_at=session.log_partial,
+        n0=_first_index(spec),
+        kind=PARTIAL_SUMS,
+        combine=session.log_partial,
+    )
     try:
         est = estimate_limit(seq, method, target_digits, p, max_terms_cap=max_terms_cap)
     except nk.NonConvergenceError as exc:

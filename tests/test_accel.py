@@ -438,6 +438,13 @@ def test_lagrange_weights_reproduce_polynomials_in_one_over_n_exactly():
                 assert total == (math.factorial(m) if k == 0 else 0), (n0, m, k)
 
 
+def test_lower_weights_are_the_lagrange_weights_through_one_node_less():
+    for n0 in (1, 2, 3, 7, 40):
+        for J in (1, 2, 5, 16, 127):
+            lower = accel._lower_weights(accel._lagrange_weights(n0, J), n0)
+            assert lower == accel._lagrange_weights(n0, J - 1), (n0, J)
+
+
 def test_richardson_recovers_the_constant_of_a_polynomial_in_one_over_n():
     rng = random.Random(5)
     for J in (1, 4, 12):

@@ -456,6 +456,105 @@ def test_one_limit_is_one_extrapolation_over_one_factor_walk(monkeypatch, name):
     assert 0 < len(logs) <= len(_distinct_atoms(spec, range(n0, n0 + J + 1)))
 
 
+# the product records of the registry: the catalog entries at their parameters
+PRODUCT_RECORDS = [
+    ("KT1", None), ("KT2", None), ("KT3", None), ("KT4", None), ("MELZAK", None),
+    ("HOLCOMBE", None), ("GS53R", None), ("GS55R", None), ("ADAMCHIK_E", Fraction(1, 2)),
+    ("BD_D", Fraction(1)), ("BD_D", Fraction(1, 2)),
+]
+
+
+@pytest.mark.parametrize("digits", [30, 40, 100])
+@pytest.mark.parametrize("name,x", PRODUCT_RECORDS, ids=lambda v: str(v))
+def test_the_weighted_walk_is_richardson_over_sampled_log_partials(name, x, digits):
+    # the weighted walk rounds the exact extrapolation once, off by less than
+    # 2^-(p+32) before that; the sampled path rounds samples taken at a
+    # boosted precision and dots them exactly, off by about as little.  So
+    # the values agree bit for bit, and so do the error estimates that
+    # products.limit reports, to a relative 2^-8.  In log space an estimate
+    # far below 2^-p (30 digits at p: about 2^-(p+33)) differs by the two
+    # paths' rounding, which stays below 2^-(p+28)
+    spec = pr.builtin(name, x)
+    n0 = pr._first_index(spec)
+    budget = accel._first_budget(accel.RICHARDSON, digits)
+    for p in (nk.bits_for_digits(digits), nk.bits_for_digits(digits) + 64):
+        ests = []
+        for weighted in (False, True):
+            session = pr.ProductEvalSession(spec)
+            seq = accel.SequenceGen(
+                term_at=session.log_partial, n0=n0, kind=accel.PARTIAL_SUMS,
+                combine=session.log_partial if weighted else None,
+            )
+            ests.append(accel.richardson_limit(seq, p, budget, budget - 1))
+        sampled, walked = ests
+        assert walked.value.raw == sampled.value.raw, p
+        a, b = as_mpf(sampled.error_estimate), as_mpf(walked.error_estimate)
+        assert abs(b - a) <= a * mp.mpf(2) ** -8 + mp.mpf(2) ** -(p + 28), p
+        a, b = (as_mpf(pr._product_scale(e, p).error_estimate) for e in ests)
+        assert abs(b - a) <= a * mp.mpf(2) ** -8, p
+
+
+@pytest.mark.parametrize("name,x", PRODUCT_RECORDS[:8:3], ids=lambda v: str(v))
+def test_an_unweighted_request_is_the_one_node_case(name, x):
+    spec = pr.builtin(name, x)
+    for n, p in ((1, 64), (7, 200), (40, 333)):
+        one = pr.ProductEvalSession(spec).log_partial(n, p, ((1,),))
+        assert isinstance(one, list) and len(one) == 1
+        assert fresh_log_partial(spec, n, p).raw == one[0].raw
+    session = pr.ProductEvalSession(spec)
+    for n in (3, 5, 9):
+        assert session.log_partial(n, 128, ((1,),))[0].raw == session.log_partial(n, 128).raw
+
+
+def test_a_weighted_request_leaves_the_session_walked_to_its_last_node():
+    spec = pr.builtin("HOLCOMBE")
+    session = pr.ProductEvalSession(spec)
+    session.log_partial(12, 160, ([1, -2, 1], [0, 1, -1]), 3)
+    for n in (12, 13, 30):
+        assert session.log_partial(n, 160).raw == fresh_log_partial(spec, n, 160).raw
+
+
+def test_weighted_sums_match_the_samples_to_the_rounding():
+    # sum_i w_i s(n_i) / den from one walk against the same sum over
+    # log partials taken 128 bits higher
+    spec = pr.parse_product_spec(
+        "name = evar\nfactor = (k+1)/k\nexponent = k*(-1)^k\n"
+        "e_exponent = 1/(k+1)\nupper = 2*n\nbridge = (2*n+3)/(n+1) ; n ; 1/(n+2)"
+    )
+    p, n = 160, 9
+    vectors = ([3, -1, 0, 7], [0, 0, 2, -5])
+    got = pr.ProductEvalSession(spec).log_partial(n, p, vectors, 6)
+    with mp.workprec(p + 128):
+        samples = [as_mpf(fresh_log_partial(spec, m, p + 128)) for m in range(n - 3, n + 1)]
+        for w, value in zip(vectors, got):
+            want = mp.fsum(c * s for c, s in zip(w, samples)) / 6
+            assert abs(as_mpf(value) - want) <= abs(want) * mp.mpf(2) ** (1 - p)
+
+
+def test_the_weighted_walk_refuses_an_upper_map_that_turns_back():
+    # n*(200-n) increases on the window that admission probes and turns back
+    # after n = 100, which a 100-digit Richardson round reaches
+    spec = pr.parse_product_spec(
+        "name = turn\nfactor = k/(k+1)\nexponent = k*(-1)^k\nupper = n*(200-n)"
+    )
+    with pytest.raises(SpecError, match=r"upper\(101\) = 9999 after upper\(100\) = 10000"):
+        pr.limit(spec, nk.bits_for_digits(100), 100)
+
+
+def test_equal_log_partials_extrapolate_with_an_error_estimate_of_zero():
+    # the factors all carry exponent 0, so every log partial is ln 3
+    spec = pr.parse_product_spec(
+        "name = flat\nfactor = 2\nexponent = 0\nupper = n\nbridge = 3 ; 1 ; 0"
+    )
+    session = pr.ProductEvalSession(spec)
+    seq = accel.SequenceGen(
+        term_at=session.log_partial, n0=1, kind=accel.PARTIAL_SUMS, combine=session.log_partial
+    )
+    est = accel.richardson_limit(seq, 128, 12, 11)
+    assert est.error_estimate.is_zero()
+    assert est.value.raw == nk.ln_rational(3, 128).raw
+
+
 def test_raw_limit_walks_the_factors_once(monkeypatch):
     spec = pr.builtin("MELZAK")
     factors = _count_calls(monkeypatch, pr.BridgedProductSpec, "factor_log")
@@ -497,6 +596,24 @@ def test_a_request_below_a_walk_that_raised_starts_again_clean():
     with pytest.raises(DomainError, match="k=7"):
         session.log_partial(5, 128)
     assert session.log_partial(1, 128).raw == fresh_log_partial(spec, 1, 128).raw
+
+
+def test_a_weighted_walk_that_raised_keeps_the_counts_it_walked(monkeypatch):
+    # a cap of 4 splits the waiting integers onto node 3's own atoms while it
+    # walks k = 17 .. 20; the zero factor k = 21 raises, and the session's
+    # counts still hold every factor walked, as a later request takes them
+    monkeypatch.setattr(pr, "_PENDING_CAP", 4)
+    spec = pr.parse_product_spec("name = z\nfactor = (k-21)^2/k\nexponent = k\nupper = 8*n")
+    session = pr.ProductEvalSession(spec)
+    with pytest.raises(DomainError, match="k=21"):
+        session.log_partial(3, 128, ([1, 1, 1],))
+    fresh = pr.ProductEvalSession(spec)
+    fresh._walk(20)
+    for walked in (session, fresh):
+        walked._split_pending()
+    assert session._next_k == fresh._next_k == 21
+    nonzero = [{q: c for q, c in walked._counts.items() if c} for walked in (session, fresh)]
+    assert nonzero[0] == nonzero[1]
 
 
 def _digest(values) -> str:
@@ -759,20 +876,26 @@ def test_table_walks_past_the_sieve_cap_within_its_budget():
 
 def test_gs53r_table_past_the_sieve_cap_keeps_its_row_and_memory():
     # k runs to 480000 and the bridge integers to 480002, all split into
-    # primes by trial division; the child reports its own peak RSS in kB
+    # primes by trial division.  On Linux the child reports its own peak RSS
+    # in kB, VmHWM: ru_maxrss would start from the high-water mark of the
+    # pytest process that spawned it, which fork and exec carry over
     code = (
-        "import resource, sys\n"
+        "import sys\n"
         "from altprod.cli import main\n"
         "code = main(['table', 'GS53R', '--n', '240000', '--digits', '20'])\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "if sys.platform.startswith('linux'):\n"
+        "    with open('/proc/self/status') as status:\n"
+        "        print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+        "else:\n"
+        "    print(0)\n"
         "sys.exit(code)\n"
     )
     run = run_bounded(code, budget_s=60)
     assert run.returncode == 0, run.stderr
     header, row, peak_kb = run.stdout.strip().split("\n")
     assert row.split() == ["240000", "2.34563040097", "5"]
-    if sys.platform.startswith("linux"):  # ru_maxrss is in kB there
-        assert int(peak_kb) < 120 * 1024
+    if sys.platform.startswith("linux"):
+        assert 0 < int(peak_kb) < 120 * 1024
 
 
 def test_partial_exact_at_the_largest_admitted_gs53r_index_ends_in_bounded_time():
