@@ -6,7 +6,8 @@ sequences into accelerated limit estimates with empirical error estimates:
 
 - ``alternating_sum``      for alternating series with decreasing terms:
   Cohen, Rodriguez Villegas and Zagier's Algorithm 1, a fixed-length sum
-  with exact integer weights (about 2.54 bits per term),
+  with exact integer weights (about 2.54 bits per term), which the sequence
+  evaluates through the same ``weighted`` request as Richardson's,
 - ``euler_transform_sum``  the binary-averaged Euler transform, which also
   sums series with growing terms in the Abel sense,
 - ``wynn_epsilon_limit``   the epsilon algorithm on partial sums,
@@ -18,17 +19,20 @@ sequences into accelerated limit estimates with empirical error estimates:
 
 Everything operates in log space by convention: callers hand in log partial
 products, never the products themselves, so magnitudes stay O(1).  The
-Richardson and CRVZ dot products and the Euler transform's grid are exact
-integer sums, each rounded once by ``numkernel.round_scaled``.
+weighted sums and the Euler transform's grid are exact integer sums, each
+rounded once by ``numkernel.round_scaled``.
 
 Extrapolation to 0 through the nodes 1/n_i is sum_i w_i s(n_i) / J! with
 integer weights that depend on the nodes alone (see Sidi, *Practical
-Extrapolation Methods*, 2003, on the Richardson process), so a sequence that
-can evaluate such a sum exactly supplies it as ``SequenceGen.combine``: a
-product's log partials walk their factors once with the weights folded in
-and round each sum once, with no sample and no precision boost.  Any other
-sequence is sampled at a precision boosted for the weights' cancellation and
-the samples' exact dot product is rounded once.
+Extrapolation Methods*, 2003, on the Richardson process), and CRVZ's sum is
+sum_k c_k b_k / d with integer weights that depend on the term count alone,
+so a sequence that can evaluate such a sum exactly supplies it as
+``SequenceGen.combine``: a product's log partials walk their factors once
+with the weights folded in, and a parameterized-Euler-constant series sums
+its terms' prime logs once; each sum is rounded once, with no sample and no
+precision boost.  Any other sequence is sampled at a precision boosted
+for the weights' cancellation and the samples' exact dot product is rounded
+once.
 
 Error estimates are |last - previous| of the accelerated diagonal: an
 empirical indicator, not a bound.  Callers that need certainty re-run at a
@@ -83,7 +87,9 @@ class SequenceGen:
 
     ``combine(n, p, weights, den)``, when given, returns one Real per integer
     weight vector (w_0 .. w_J): sum_i w_i t(n - J + i) / den, each rounded
-    once to p bits.  Without it, ``weighted`` samples ``term_at``.
+    once to p bits.  Without it, ``weighted`` samples ``term_at``.  Both
+    extrapolation (partial sums) and CRVZ summation (alternating terms) ask
+    for their sums through ``weighted``.
     """
 
     term_at: Callable[[int, int], Real]
@@ -106,7 +112,10 @@ class SequenceGen:
             return self.combine(n, p, weights, den)
         count = len(weights[0])
         wp = p + _node_condition_bits(weights[0], den) + 32
-        mans, e = _common_mantissas(self.term_at(n - count + 1 + i, wp) for i in range(count))
+        raws = [self.term_at(n - count + 1 + i, wp).raw for i in range(count)]
+        # each mantissa scaled to the smallest exponent e, so the dot products are exact
+        e = min((exp for _, man, exp, _ in raws if man), default=0)
+        mans = [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in raws]
         return [nk.round_scaled(sum(w * a for w, a in zip(ws, mans)), e, p, den) for ws in weights]
 
 
@@ -151,14 +160,6 @@ def _all_equal_shortcut(values, method: str, terms_used: int) -> Optional[LimitE
             method=method,
         )
     return None
-
-
-def _common_mantissas(values) -> tuple:
-    """(mans, e) with values[i] = mans[i] * 2^e exactly: each value's
-    mantissa scaled to the smallest exponent, so dot products stay exact."""
-    raws = [x.raw for x in values]
-    e = min((exp for _, man, exp, _ in raws if man), default=0)
-    return [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in raws], e
 
 
 # -- Euler transform -----------------------------------------------------------
@@ -255,14 +256,6 @@ def _crvz_weights(n: int):
     return d, cs
 
 
-def _crvz_settled(s: int, g: int, d: int, d1: int, e: int, p: int) -> bool:
-    """Whether g 2^e / (d d1) < 2^-(p+2) max(|s| 2^e / d, 1), in integers:
-    both sides times d d1 2^(v + p + 2), with u = max(e, 0), v = max(-e, 0)
-    and e + v = u."""
-    u, v = max(e, 0), max(-e, 0)
-    return g << (p + 2 + u) < max(abs(s) * d1 << u, d * d1 << v)
-
-
 def alternating_sum(terms: SequenceGen, p: int) -> LimitEstimate:
     """Sum of sum_{k>=n0} (-1)^(k-n0) b_k for decreasing b_k by Cohen,
     Rodriguez Villegas and Zagier, "Convergence acceleration of alternating
@@ -270,35 +263,36 @@ def alternating_sum(terms: SequenceGen, p: int) -> LimitEstimate:
 
     For a moment sequence b_k = int x^k dmu(x) with mu >= 0 on [0, 1] the
     error of the n-term sum is below 2 |S| / (3+sqrt 8)^n, so n follows from
-    p and every term is evaluated once.  Both the n-term sum and the sum over
-    the first n - 1 terms are exact dot products of the integer weights with
-    the terms' dyadic mantissas; the n-term sum is the value, their exact
-    difference the error estimate, each rounded once.  Unless the difference
-    falls below 2^-(p+2) * max(|S|, 1), an exact integer comparison, the sum
-    raises ``NonConvergenceError`` carrying the n-term value.  Terms that
-    grow, where the hypothesis fails, make the two sums disagree: for
+    p.  The sequence's ``weighted`` evaluates two vectors over den = d d1,
+    where the n-term sum is sum c_k b_k / d and the (n-1)-term sum
+    sum c'_k b_k / d1: c_k d1, whose sum is the value, and c_k d1 - c'_k d
+    (c' padded with a 0), whose sum is the difference of the two and, in
+    absolute value, the error estimate.  Each is rounded once to p bits.
+
+    Unless the rounded difference falls below 2^-(p+2) * max(|S|, 1) of the
+    rounded value, the sum raises ``NonConvergenceError`` carrying the
+    n-term value.  Rounding moves each sum by at most 2^-p of itself, so
+    the rule decides as it would on the exact sums unless the difference
+    lies within about 2^-(p-2) of the threshold.  For a moment sequence it
+    lies far under it: with (3+sqrt 8)^n >= 2^(p+16) both sums' errors are
+    below 2^-(p+12) |S| together, 2^10 times below the threshold.  Terms
+    that grow, where the hypothesis fails, make the two sums disagree: for
     b_k = x^k the error is T_n(1-2x) / ((1+x) T_n(3)), which for x >= 2 does
     not shrink and flips sign with n.
     """
     if terms.kind != ALTERNATING_TERMS:
         raise SpecError("alternating_sum needs an ALTERNATING_TERMS sequence")
     n = math.ceil((p + _CRVZ_GUARD_BITS) / _CRVZ_BITS_PER_TERM)
-    # each weight c_k / d lies in (-1, 1): n rounded terms lose bitlen(n) bits
-    wp = p + _CRVZ_GUARD_BITS + n.bit_length() + _probe_scale_bits(terms)
-    mans, e = _common_mantissas(terms.term_at(terms.n0 + k, wp) for k in range(n))
-    # the n-term sum is s * 2^e / d, the (n-1)-term sum s1 * 2^e / d1, and
-    # their difference g * 2^e / (d d1)
     d, cs = _crvz_weights(n)
     d1, cs1 = _crvz_weights(n - 1)
-    s = sum(c * a for c, a in zip(cs, mans))
-    g = abs(s * d1 - sum(c * a for c, a in zip(cs1, mans)) * d)
-    est = LimitEstimate(
-        value=nk.round_scaled(s, e, p, d),
-        error_estimate=nk.round_scaled(g, e, p, d * d1),
-        terms_used=terms.n0 + n - 1,
-        method=EULER,
-    )
-    if not _crvz_settled(s, g, d, d1, e, p):
+    value = [c * d1 for c in cs]
+    spread = [v - c * d for v, c in zip(value, cs1 + [0])]
+    last = terms.n0 + n - 1
+    total, diff = terms.weighted(last, p, (value, spread), d * d1)
+    err = abs(diff)
+    est = LimitEstimate(value=total, error_estimate=err, terms_used=last, method=EULER)
+    scale = abs(total) if abs(total) > 1 else nk.to_real(1, p)
+    if not err < nk.ldexp(scale, -(p + 2)):
         raise NonConvergenceError(
             f"alternating sum over {n} and {n - 1} terms disagree"
             f" by more than 2^-{p + 2}",

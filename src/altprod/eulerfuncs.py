@@ -5,12 +5,14 @@ product itself, from the parameterized-Euler-constant series at z = -1, or
 from a Barnes-G closed form. Agreement between the routes is the
 correctness argument, so each value comes from its own algorithm. They
 share one kernel, ``numkernel.PrimeLogTable``: PRODUCT's log partials go
-through it, and so do GAMMA_SERIES's directed check and the zeta'(-1, x)
-heads of BARNES_CLOSED's Hurwitz form, but not the CRVZ sum that is
-GAMMA_SERIES's value (see `D`). `E` is the squared-ratio analogue.
+through it, and so do GAMMA_SERIES's value and directed check and the
+zeta'(-1, x) heads of BARNES_CLOSED's Hurwitz form (see `D`). `E` is the
+squared-ratio analogue.
 `gamma_param` / `gamma_ab` are the two parameterized-Euler-constant families
 (one is a reindexing of the other); both sum t - ln(1 + t), t = alpha/n or
-1/(an + b), described by the integer pairs (num, den) of t alone.
+1/(an + b), described by the integer pairs (num, den) of t alone.  At z = -1
+one exact weighted sum over the terms gives both the CRVZ value and the
+directed check, differing only in their weights.
 `phi_sderiv` evaluates the s-derivative of the alternating Lerch series by
 a Hurwitz split, whose zeta'(s, a) heads at integer s <= 0 go through the
 table, with an Euler-summed check route whose terms take ``ln_rational``.
@@ -18,6 +20,7 @@ table, with an Euler-summed check route whose terms take ``ln_rational``.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import numkernel as nk
 from . import products
@@ -75,43 +78,57 @@ def _t_minus_log1p(num: int, den: int, wp: int) -> Real:
     return nk.sub(nk.to_real(t, w), nk.ln_rational(1 + t, w), w)
 
 
-def _paired_direct_sum(t_at, weight, n0: int, terms: int, w: int) -> Real:
-    """sum_{i<terms} (-1)^i weight(n) (t - ln(1 + t)), n = n0 + i, t = num/den
-    for the integer pair (num, den) = t_at(n), den > 0, not necessarily in
-    lowest terms.
+def _weighted_t_sum(t_at, weight, n: int, p: int, vectors, den: int) -> list:
+    """One Real per integer vector (w_0 .. w_J) over the nodes m = n - J ..
+    n: sum_i w_i weight(m) (t - ln(1 + t)) / den, t = num/den_m for the
+    integer pair (num, den_m) = t_at(m), den_m > 0, not necessarily in lowest
+    terms, each rounded once to p bits.
 
-    The rational part is summed in fixed point with an error below
-    2^-(w+32).  The log part, sum c (ln den - ln(den + num)), is collected as
-    one integer coefficient per distinct integer, and each integer is split
-    into primes once; that exponent vector is exact and is evaluated with the
-    rational part as one dot product, rounded once to w bits.
+    Each vector's log part, sum c (ln den_m - ln(den_m + num)) with
+    c = w_i weight(m), is collected as one integer coefficient per distinct
+    integer, each split into primes once, so it is one exact exponent
+    vector; its rational part is summed in fixed point, each term floored.
+    One table of this call's own evaluates every vector with its rational
+    part as the terms of one ``log_sum`` request over den, each rounded
+    once, with an absolute error below 2^-(p+31) before that rounding.
+
+    At the first node |t| > 2^-k, k = bitlen(den_m) - bitlen(|num|) + 1, so
+    its term, with weight >= 1, exceeds min(2^-(2k+3), 1/4).  Where that is
+    below 2^-15 the sums are taken 2^boost times larger, boost = 2k - 12,
+    and scaled back exactly, so the error stays below 2^-(p+16) of the
+    largest term however small the terms are.
     """
-    scale = w + 32 + terms.bit_length()
-    rational = 0  # in units of 2^-scale, each term floored
-    coeffs = {}  # integer -> its coefficient in the log part
-    for i in range(terms):
-        n = n0 + i
-        c = weight(n) if i % 2 == 0 else -weight(n)
-        num, den = t_at(n)
-        rational += (c * num << scale) // den
-        coeffs[den + num] = coeffs.get(den + num, 0) - c
-        coeffs[den] = coeffs.get(den, 0) + c
+    count = len(vectors[0])
+    scale = p + 32 + count.bit_length()
+    nodes = [(weight(m), *t_at(m)) for m in range(n - count + 1, n + 1)]
+    _, num0, den0 = nodes[0]
+    boost = max(0, 2 * (den0.bit_length() - abs(num0).bit_length() + 1) - 12)
     logs = nk.PrimeLogTable()
-    counts = {}
-    for x, c in coeffs.items():
-        if c:
-            logs.add(counts, x, c)
-    return logs.log_sum(w, [counts], Fraction(rational, 1 << scale))
+    terms = []
+    for ws in vectors:
+        rational = 0  # in units of 2^-scale, each term floored
+        coeffs = {}  # integer -> its coefficient in the log part
+        for w, (u, num, dm) in zip(ws, nodes):
+            c = w * u << boost
+            rational += (c * num << scale) // dm
+            coeffs[dm + num] = coeffs.get(dm + num, 0) - c
+            coeffs[dm] = coeffs.get(dm, 0) + c
+        counts = {}
+        for x, c in coeffs.items():
+            if c:
+                logs.add(counts, x, c)
+        terms.append(([counts], Fraction(rational, 1 << scale)))
+    return [nk.ldexp(v, -boost) for v in logs.log_sum(p, terms, den)]
 
 
-def _directed_check(t_at, weight, n0: int, wp: int, total: Real, terms: int):
-    """Free consistency check at z = -1: a paired direct partial sum must sit
-    within the first omitted term, weight(n) (t - ln(1 + t)) at n = n0 + terms,
-    of the accelerated total."""
+def _directed_check(combine, n0: int, wp: int, total: Real, terms: int):
+    """Free consistency check at z = -1: the paired direct partial sum, the
+    sum of ``combine``'s +-1 vector over n0 .. n0 + terms - 1, must sit
+    within the first omitted term, its one-node case at n = n0 + terms, of
+    the accelerated total."""
     w = wp // 2 + 32
-    acc = _paired_direct_sum(t_at, weight, n0, terms, w)
-    n = n0 + terms
-    bound = abs(nk.mul(_t_minus_log1p(*t_at(n), w), nk.to_real(weight(n), w), w))
+    acc = combine(n0 + terms - 1, w, ([1 - 2 * (i % 2) for i in range(terms)],), 1)[0]
+    bound = abs(combine(n0 + terms, w, ((1,),), 1)[0])
     gap = abs(nk.sub(total.at(w), acc, w))
     slack = nk.ldexp(nk.add(bound, abs(total.at(w)), w), -(w // 2))
     if gap > nk.add(bound, slack, w):
@@ -154,7 +171,9 @@ def _z_series(what: str, z, p: int, target_digits: int, n0: int, t_at,
     not depend on n in either family, so num = 0 is the exact zero series.
 
     At z = -1 the weighted terms are CRVZ-summed and the total must pass the
-    directed check; inside (-1, 1) the series is summed directly to its
+    directed check, both sums of ``_weighted_t_sum``, which differ only in
+    their weights: CRVZ's for the value, +-1 for the check; a term alone is
+    its one-node case.  Inside (-1, 1) the series is summed directly to its
     geometric tail bound.
     """
     _check_target(target_digits)
@@ -165,16 +184,13 @@ def _z_series(what: str, z, p: int, target_digits: int, n0: int, t_at,
         return nk.to_real(0, p)
     stop_bits = nk.bits_for_digits(target_digits, guard=16)
     wp = max(p, stop_bits) + 32
-    unweighted, weight = weight is None, weight or (lambda n: 1)
-
-    def term_at(n, w):  # a unit weight keeps the coefficient's own precision
-        c = _t_minus_log1p(*t_at(n), w)
-        return c if unweighted else nk.mul(c, nk.to_real(weight(n), w), w)
-
+    weight = weight or (lambda n: 1)
     if zf == -1:
-        gen = SequenceGen(term_at=term_at, n0=n0, kind=ALTERNATING_TERMS)
+        combine = partial(_weighted_t_sum, t_at, weight)
+        gen = SequenceGen(term_at=lambda n, w: combine(n, w, ((1,),), 1)[0], n0=n0,
+                          kind=ALTERNATING_TERMS, combine=combine)
         total = alternating_sum(gen, stop_bits).value.at(wp)
-        _directed_check(t_at, weight, n0, wp, total, check_terms)
+        _directed_check(combine, n0, wp, total, check_terms)
         return total.at(p)
     value = _direct_power_sum(t_at, n0, zf, weight, wp, stop_bits, what)
     return value.at(p)
@@ -225,22 +241,24 @@ def D(x, route: str, p: int, target_digits: int) -> Real:
     half-parameter closed form with the e^x trailing-factor bridge. The
     routes validate each other; none is trusted alone.
 
-    What the routes share: PRODUCT's log partials, GAMMA_SERIES's directed
-    check and BARNES_CLOSED's zeta'(-1, x) heads all sum their logs through
-    a ``numkernel.PrimeLogTable``, each through a table of its own call.
-    Agreement still counts, because GAMMA_SERIES's value is its CRVZ sum,
-    whose terms take ``ln_rational`` directly; the table only decides
-    whether the directed check passes, so a fault in it can move PRODUCT's
-    and BARNES_CLOSED's values but not GAMMA_SERIES's, and the values then
-    disagree.
+    What the routes share: PRODUCT's log partials, GAMMA_SERIES's CRVZ sum
+    and directed check and BARNES_CLOSED's zeta'(-1, x) heads all sum their
+    logs through a ``numkernel.PrimeLogTable``, each through a table of its
+    own call, so a fault in the table code can move all three values.
+    Agreement still counts: each route weights the atoms' logs by its own
+    exponent vector, so a wrong atom log moves the values apart.  It also
+    moves GAMMA_SERIES's terms by the atom's exponents, which are no smooth
+    sequence, so CRVZ's n- and (n-1)-term sums disagree and its stop rule
+    refuses.  LN_GLAISHER's check route, the eta'(2) series, stays on
+    ``ln_rational``, so a table fault also fails its dual-route gate, and
+    both DGAMMA right-hand sides evaluate `glaisher`.
     Neither PRODUCT nor GAMMA_SERIES touches the Hurwitz zeta.
     BARNES_CLOSED does, through ln_barnesG's Hurwitz form, and zeta'(-1)
     does not cancel between its ln G terms.
     zeta'(-1) is also the primary route of LN_GLAISHER, so a BARNES_CLOSED
     value checked against a `glaisher` expression shares that term, table
     head included, with it; the packaged registry holds no such pair, and a
-    test keeps it so. LN_GLAISHER's check route, the eta'(2) series, stays
-    on ``ln_rational``, so a fault in the table fails its dual-route gate.
+    test keeps it so.
     """
     _check_target(target_digits)
     if route not in D_ROUTES:

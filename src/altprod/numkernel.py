@@ -541,20 +541,20 @@ class PrimeLogTable:
     prime-factor sieve, from 2^16 on by trial division over the sieve's
     primes.  A rest of at least 2^32 that no sieve prime divides is kept
     whole as an atom of its own.
-    ``log_sum`` evaluates sum c_q ln q over one or more vectors plus an exact
-    rational offset, all divided by an integer den, as one exact dot product
-    of the atoms' fixed-point logs, rounded once.  ``fixed_logs`` gives those
-    logs: its fixed point F comes from p and the bound sum |c_q| bitlen(q) of
-    the exact vectors divided by den, so the quotient's absolute error stays
-    below 2^-(p+32) before that rounding, and the logs are cached per F, so
-    every value is a function of the vectors, the offset, den and p alone;
-    the quotient is rounded by ``round_scaled``, without building a
-    `Fraction`.  A den above 1 is how a linear combination of log partials
-    with rational weights, such as an extrapolation to the limit, is
-    evaluated: the vectors carry the integer numerators, and F is sized for
-    the combination, not for its terms.  Each atom log equals
-    ``ln_rational``'s bit for bit; below the sieve cap it comes from smaller
-    primes' logs by the recurrence of ``_FixedLogs``.
+    ``log_sum`` evaluates a request: one or more terms, each sum c_q ln q over
+    one or more vectors plus an exact rational offset, all divided by one
+    integer den, each term as one exact dot product of the atoms' fixed-point
+    logs, rounded once.  ``fixed_logs`` gives those logs: its fixed point F
+    comes from p and the largest term's bound sum |c_q| bitlen(q) divided by
+    den, so each quotient's absolute error stays below 2^-(p+32) before that
+    rounding, and the logs are cached per F, so every value is a function of
+    the request's terms, den and p alone; each quotient is rounded by
+    ``round_scaled``, without building a `Fraction`.  A den above 1 is how a
+    linear combination of sums with rational weights, such as an
+    extrapolation to the limit, is evaluated: the vectors carry the integer
+    numerators, and F is sized for the combination, not for its parts.
+    Each atom log equals ``ln_rational``'s bit for bit; below the sieve cap
+    it comes from smaller primes' logs by the recurrence of ``_FixedLogs``.
 
     The sieve, its list of primes and the log cache belong to one table; a
     table serves one evaluation run and is not shared across threads.
@@ -607,18 +607,25 @@ class PrimeLogTable:
             logs = self._fixed_logs[bucket] = _FixedLogs(bucket, self._spf)
         return logs
 
-    def log_sum(self, p: int, vectors, offset: Rationalish = 0, den: int = 1) -> Real:
-        """(sum over the vectors of sum c_q ln q, plus offset) / den, for an
-        integer den >= 1, rounded once to p bits.
+    def log_sum(self, p: int, terms, den: int = 1) -> list:
+        """One Real per term (vectors, offset) of the list ``terms``: (the sum
+        over the vectors of sum c_q ln q, plus offset) / den, for an integer
+        den >= 1, each rounded once to p bits.
 
-        F is sized from the vectors' bound divided by den, rounded up: each
-        atom log's error is divided by den too, and sizing from the bound
-        alone would buy bitlen(den) bits the quotient does not need."""
-        bound = sum(abs(c) * q.bit_length() for counts in vectors for q, c in counts.items())
+        F is sized once for the request, from the largest term's bound
+        divided by den, rounded up, so its terms share one set of atom logs:
+        each atom log's error is divided by den too, and sizing from the
+        bound alone would buy bitlen(den) bits the quotients do not need."""
+        bound = max(sum(abs(c) * q.bit_length() for counts in vectors for q, c in counts.items())
+                    for vectors, _ in terms)
         logs = self.fixed_logs(p, -(-bound // den))
-        total = sum(c * logs[q] for counts in vectors for q, c in counts.items() if c)
-        num, off_den, f = offset.numerator, offset.denominator, logs.bucket
-        return round_scaled(total * off_den + (num << f), -f, p, off_den * den)
+        f = logs.bucket
+        values = []
+        for vectors, offset in terms:
+            total = sum(c * logs[q] for counts in vectors for q, c in counts.items() if c)
+            num, off_den = offset.numerator, offset.denominator
+            values.append(round_scaled(total * off_den + (num << f), -f, p, off_den * den))
+        return values
 
 
 def _floor_log10(v: Fraction):

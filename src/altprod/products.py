@@ -510,8 +510,9 @@ class ProductEvalSession:
     partials of every node whose upper index reaches k, so in one forward
     walk it carries the suffix sum W(k) of the weights of those nodes; each
     node's bridge pairs and e-part carry that node's own weight.  So the
-    factors are walked once, each vector is one exact atom count, and its
-    value is one ``log_sum`` divided by den.  Sessions are meant for a single
+    factors are walked once, each vector is one exact atom count, and the
+    vectors are the terms of one ``log_sum`` request over den, which takes
+    every atom log at one fixed point.  Sessions are meant for a single
     evaluation run and are not shared across threads.
     """
 
@@ -634,12 +635,10 @@ class ProductEvalSession:
                     if w[i]:
                         for q, c in node_bridge.items():
                             bv[q] = bv.get(q, 0) + w[i] * c
-        values = []
-        for w, cv, bv in zip(vectors, atoms, bridges):
-            e_part = _exact_dot(w, e_walked)
-            if not e_varies:
-                e_part *= spec._e_exponent
-            values.append(logs.log_sum(p, [cv, bv], e_part + _exact_dot(w, e_bridge), den))
+        e_scale = 1 if e_varies else spec._e_exponent
+        terms = [([cv, bv], _exact_dot(w, e_walked) * e_scale + _exact_dot(w, e_bridge))
+                 for w, cv, bv in zip(vectors, atoms, bridges)]
+        values = logs.log_sum(p, terms, den)
         return values[0] if weights is None else values
 
 

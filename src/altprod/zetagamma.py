@@ -233,7 +233,7 @@ def _log_power_head(k: int, a: Fraction, N: int, wp: int) -> Real:
         logs.add(counts, x, w)
         total += w
     logs.add(counts, v, -total)
-    return nk.div(logs.log_sum(wp + 32, [counts]), to_real(-(v**k), wp), wp)
+    return nk.div(logs.log_sum(wp + 32, [([counts], 0)])[0], to_real(-(v**k), wp), wp)
 
 
 def _em_zeta_once(

@@ -220,26 +220,6 @@ def test_crvz_weights_are_the_exact_integer_recurrence():
             bk = (k + n) * (k - n) * bk / ((k + Fraction(1, 2)) * (k + 1))
 
 
-@given(
-    s=st.integers(-(2**400), 2**400),
-    g=st.integers(0, 2**400),
-    n=st.integers(2, 80),
-    e=st.integers(-700, 300),
-    p=st.integers(2, 400),
-    edge=st.one_of(st.none(), st.integers(-2, 2)),
-)
-@settings(max_examples=400, deadline=None)
-def test_crvz_stop_rule_in_integers_is_the_fraction_comparison(s, g, n, e, p, edge):
-    d, _ = accel._crvz_weights(n)
-    d1, _ = accel._crvz_weights(n - 1)
-    full = Fraction(s, d) * Fraction(2) ** e
-    bound = Fraction(max(abs(full), 1)) / 2 ** (p + 2)
-    if edge is not None:  # g at the boundary err = bound, and a step either side
-        g = max(0, math.ceil(bound * d * d1 / Fraction(2) ** e) + edge)
-    err = Fraction(g, d * d1) * Fraction(2) ** e
-    assert accel._crvz_settled(s, g, d, d1, e, p) == (err < bound)
-
-
 class _CountingTerms:
     """term_at for b_k = f(k) that records every index asked for."""
 

@@ -1,24 +1,28 @@
 """Checks for the named limit functions.
 
 The load-bearing claims: the three routes to the alternating-ratio limit
-share no machinery yet must agree; every truncated product equals a
+are separate algorithms yet must agree; every truncated product equals a
 hand-multiplied rational; the two parameterized-Euler-constant families are
 reindexings of one another; and the Lerch s-derivative's Hurwitz split
 agrees both with an Euler-summed check series and, where the raw series
 converges, with a long direct partial sum.
 """
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from altprod import accel
 from altprod import constants as cst
 from altprod import eulerfuncs as ef
+from altprod import harness as hz
 from altprod import numkernel as nk
 from altprod import products as pr
 from altprod import zetagamma as zg
@@ -275,16 +279,43 @@ def test_gamma_series_values_are_pinned_bit_for_bit(digits):
     ],
 )
 def test_paired_direct_sum_matches_mpmath(t_at, weight, n0, terms):
-    # the directed check's direct sum: the exact exponent vector and the
-    # fixed-point rational part keep it within 2^-(w+30) of the true sum
+    # the directed check's direct sum, the +-1 vector of the weighted sum:
+    # the exact exponent vector and the fixed-point rational part keep it
+    # within 2^-(w+30) of the true sum
     w = 200
-    got = ef._paired_direct_sum(t_at, weight, n0, terms, w)
+    signs = [(-1) ** i for i in range(terms)]
+    got = ef._weighted_t_sum(t_at, weight, n0 + terms - 1, w, (signs,), 1)[0]
     with mp.workprec(w + 64):
         ts = [mpq(Fraction(*t_at(n0 + i))) for i in range(terms)]
         want = mp.fsum(
             (-1) ** i * weight(n0 + i) * (t - mp.log1p(t)) for i, t in enumerate(ts)
         )
         assert abs(as_mpf(got) - want) <= mp.mpf(2) ** -(w + 30) + abs(want) * mp.mpf(2) ** -w
+
+
+@pytest.mark.parametrize(
+    "t_at,weight,n0",
+    [
+        (lambda n: (1, 2 * n), lambda n: n - 1, 2),  # gamma_param_deriv at 1/2
+        (lambda n: (-1, 3 * n), lambda n: 1, 1),  # gamma_param at -1/3
+        (lambda n: (3, 21 * n + 5), lambda n: 1, 0),  # gamma_ab(7, 5/3)
+    ],
+)
+def test_weighted_t_sum_of_two_crvz_vectors_matches_mpmath(t_at, weight, n0):
+    # CRVZ's two vectors at n = 40 over den = d d1: the 40-term sum and its
+    # difference from the 39-term sum, each within 2^-(w+30) of the truth
+    w, n = 200, 40
+    d, cs = accel._crvz_weights(n)
+    d1, cs1 = accel._crvz_weights(n - 1)
+    value = [c * d1 for c in cs]
+    spread = [v - c * d for v, c in zip(value, cs1 + [0])]
+    got = ef._weighted_t_sum(t_at, weight, n0 + n - 1, w, (value, spread), d * d1)
+    with mp.workprec(w + 64):
+        ts = [weight(n0 + k) * (t - mp.log1p(t))
+              for k, t in enumerate(mpq(Fraction(*t_at(n0 + k))) for k in range(n))]
+        for vec, g in zip((value, spread), got):
+            want = mp.fsum(c * t for c, t in zip(vec, ts)) / (d * d1)
+            assert abs(as_mpf(g) - want) <= mp.mpf(2) ** -(w + 30) + abs(want) * mp.mpf(2) ** -w
 
 
 def test_directed_check_refuses_a_total_off_by_more_than_the_first_omitted_term():
@@ -294,18 +325,58 @@ def test_directed_check_refuses_a_total_off_by_more_than_the_first_omitted_term(
     def t_at(n):
         return alpha.numerator, alpha.denominator * n
 
-    direct = as_mpf(ef._paired_direct_sum(t_at, lambda n: n - 1, 2, 2048, w))
+    combine = partial(ef._weighted_t_sum, t_at, lambda n: n - 1)
+    direct = as_mpf(combine(2 + 2048 - 1, w, ([(-1) ** i for i in range(2048)],), 1)[0])
     n = 2 + 2048
     bound = as_mpf(ef._t_minus_log1p(*t_at(n), w)) * (n - 1)
     for shift, ok in ((mp.mpf("0.9"), True), (mp.mpf("1.1"), False)):
         for sign in (1, -1):
             total = nk.Real(mp.mpf(direct + sign * shift * bound)._mpf_, wp)
-            args = (t_at, lambda n: n - 1, 2, wp, total, 2048)
+            args = (combine, 2, wp, total, 2048)
             if ok:
                 ef._directed_check(*args)
             else:
                 with pytest.raises(NonConvergenceError, match="direct partial sum"):
                     ef._directed_check(*args)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 10**30), Fraction(-1, 10**12), Fraction(1, 10**6)])
+def test_series_of_tiny_terms_keep_their_relative_precision(alpha):
+    # the weighted sums have an absolute error bound, scaled to the first
+    # term; the values are the power series in alpha, with eta(1) = ln 2:
+    # gamma_param = sum_j (-alpha)^j eta(j) / j and
+    # gamma_param_deriv = sum_j (-alpha)^j (eta(j) - eta(j-1)) / j
+    p = nk.bits_for_digits(30)
+    with mp.workprec(4 * p):
+        a = mpq(alpha)
+        eta = [mp.log(2)] + [mp.altzeta(j) for j in range(2, 40)]
+        want = (mp.fsum((-a) ** j * eta[j - 1] / j for j in range(2, 40)),
+                mp.fsum((-a) ** j * (eta[j - 1] - eta[j - 2]) / j for j in range(2, 40)))
+        for f, w in zip((ef.gamma_param, ef.gamma_param_deriv), want):
+            got = as_mpf(f(alpha, -1, p, 30))
+            assert abs(got - w) <= abs(w) * mp.mpf(10) ** -30
+
+
+@pytest.mark.parametrize("digits", [30, 40, 100, 300])
+def test_crvz_value_from_the_weighted_sum_is_the_sampled_terms_value(monkeypatch, digits):
+    # the series' CRVZ value comes from its combine hook; the same generator
+    # with term_at alone samples its one-node terms; the two must not drift
+    seen = []
+
+    def both_paths(gen, bits):
+        est = accel.alternating_sum(gen, bits)
+        sampled = accel.alternating_sum(dataclasses.replace(gen, combine=None), bits)
+        seen.append((est.value.raw, sampled.value.raw))
+        return est
+
+    monkeypatch.setattr(ef, "alternating_sum", both_paths)
+    p = nk.bits_for_digits(digits)
+    for alpha in SERIES_ALPHAS:
+        ef.gamma_param(alpha, -1, p, digits)
+        ef.gamma_param_deriv(alpha, -1, p, digits)
+    assert len(seen) == 2 * len(SERIES_ALPHAS)
+    for combined, sampled in seen:
+        assert combined == sampled
 
 
 @pytest.mark.parametrize(
@@ -472,6 +543,29 @@ def test_a_faulty_prime_log_table_fails_both_check_routes(monkeypatch):
         cst.constant("LN_GLAISHER", p)
     with pytest.raises(NonConvergenceError, match="disagree"):
         ef.phi_sderiv(q, p, 30)
+
+
+def test_a_faulty_prime_log_table_fails_dgamma_one(monkeypatch):
+    # GAMMA_SERIES's value sums its logs through a table too, so the fault of
+    # the test above fails DGAMMA_ONE even when the constant memo already
+    # holds a correct Glaisher constant; with the memo cleared, LN_GLAISHER's
+    # dual-route gate refuses the right-hand side's constant as well
+    monkeypatch.setattr(cst, "_memo", {})
+    assert hz.verify("DGAMMA_ONE", 30).passed
+    fixed_log = nk._FixedLogs.__missing__
+
+    def off_by_2_to_minus_40(logs, atom):
+        value = fixed_log(logs, atom)
+        if atom == 3:
+            value = logs[atom] = value + (1 << (logs.bucket - 40))
+        return value
+
+    monkeypatch.setattr(nk._FixedLogs, "__missing__", off_by_2_to_minus_40)
+    assert hz.verify("DGAMMA_ONE", 30).passed is False
+    monkeypatch.setattr(cst, "_memo", {})
+    assert hz.verify("DGAMMA_ONE", 30).passed is False
+    with pytest.raises(NonConvergenceError, match="routes for LN_GLAISHER agree"):
+        cst.constant("LN_GLAISHER", nk.bits_for_digits(30))
 
 
 # ---------------------------------------------------------------------------

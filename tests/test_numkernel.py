@@ -446,7 +446,7 @@ def test_log_sum_is_the_exact_sum_rounded_once(vectors, offset, p):
         for q, c in atoms.items():
             table.add(counts, q, c)
         split.append(counts)
-    got = table.log_sum(p, split, offset)
+    got = table.log_sum(p, [(split, offset)])[0]
     assert got.precision_bits == p
     with mp.workprec(p + 160):
         want = mp.fsum(c * mp.log(q) for atoms in vectors for q, c in atoms.items())
@@ -520,7 +520,7 @@ def test_log_sum_rounds_the_fixed_point_total_plus_offset_once(vector, offset, p
     counts = {}
     for q, c in vector.items():
         table.add(counts, q, c)
-    got = table.log_sum(p, [counts], offset)
+    got = table.log_sum(p, [([counts], offset)])[0]
     logs = table.fixed_logs(p, sum(abs(c) * q.bit_length() for q, c in counts.items()))
     total = sum(c * logs[q] for q, c in counts.items())
     assert got.raw == nk.to_real(Fraction(total, 1 << logs.bucket) + offset, p).raw
@@ -528,11 +528,27 @@ def test_log_sum_rounds_the_fixed_point_total_plus_offset_once(vector, offset, p
 
 def test_log_sum_bits_do_not_depend_on_earlier_requests():
     counts = {3: 10**9, 7: -(10**9), 65537: 5}
-    fresh = {p: nk.PrimeLogTable().log_sum(p, [counts], Fraction(1, 3)).raw for p in (100, 164)}
+    terms = [([counts], Fraction(1, 3))]
+    fresh = {p: nk.PrimeLogTable().log_sum(p, terms)[0].raw for p in (100, 164)}
     table = nk.PrimeLogTable()
-    assert table.log_sum(164, [counts], Fraction(1, 3)).raw == fresh[164]
-    assert table.log_sum(100, [counts], Fraction(1, 3)).raw == fresh[100]
-    assert table.log_sum(100, [{}], 0).is_zero()
+    assert table.log_sum(164, terms)[0].raw == fresh[164]
+    assert table.log_sum(100, terms)[0].raw == fresh[100]
+    assert table.log_sum(100, [([{}], 0)])[0].is_zero()
+
+
+def test_log_sum_sizes_one_fixed_point_per_request():
+    # terms whose bounds alone would land in different buckets share the
+    # largest term's, so one request builds one set of atom logs
+    small, large = {3: 1, 7: -1}, {3: 1 << 200, 7: -(1 << 200)}
+    buckets = [nk.PrimeLogTable().fixed_logs(100, bound).bucket for bound in (5, 6 << 200)]
+    assert buckets[0] != buckets[1]
+    table = nk.PrimeLogTable()
+    got = table.log_sum(100, [([small], Fraction(1, 3)), ([large], 0)])
+    assert len(table._fixed_logs) == 1
+    logs = table.fixed_logs(100, 6 << 200)
+    for value, counts, offset in zip(got, (small, large), (Fraction(1, 3), 0)):
+        total = sum(c * logs[q] for q, c in counts.items())
+        assert value.raw == nk.to_real(Fraction(total, 1 << logs.bucket) + offset, 100).raw
 
 
 # -- atom logs from the fixed-point recurrence ---------------------------------
@@ -621,7 +637,7 @@ def test_a_wide_log_on_a_rounding_boundary_falls_back_to_ln_rational(monkeypatch
 def test_log_caches_hold_no_reference_back_to_their_table():
     # without a cycle, reference counting alone frees a table and its caches
     table = nk.PrimeLogTable()
-    table.log_sum(200, [{3: 2, 101: -1, 65537: 1}])
+    table.log_sum(200, [([{3: 2, 101: -1, 65537: 1}], 0)])
     refs = [weakref.ref(table), weakref.ref(table.fixed_logs(200, 0))]
     gc.disable()
     try:

@@ -735,7 +735,7 @@ def test_walked_counts_are_the_split_of_the_reduced_factors(name, a, b, ns):
         want = _reference_counts(spec, ks)
         assert {q: c for q, c in session._counts.items() if c} == want
         e_power = sum((spec.e_exponent(k) for k in ks), Fraction(0))
-        assert got.raw == nk.PrimeLogTable().log_sum(p, [want], e_power).raw
+        assert got.raw == nk.PrimeLogTable().log_sum(p, [([want], e_power)])[0].raw
 
 
 def test_factor_log_takes_negated_parts_in_absolute_value():
