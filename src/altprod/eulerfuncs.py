@@ -114,9 +114,7 @@ def _weighted_t_sum(t_at, weight, n: int, p: int, vectors, den: int) -> list:
             coeffs[dm + num] = coeffs.get(dm + num, 0) - c
             coeffs[dm] = coeffs.get(dm, 0) + c
         counts = {}
-        for x, c in coeffs.items():
-            if c:
-                logs.add(counts, x, c)
+        logs.add_all(counts, coeffs.items())
         terms.append(([counts], Fraction(rational, 1 << scale)))
     return [nk.ldexp(v, -boost) for v in logs.log_sum(p, terms, den)]
 

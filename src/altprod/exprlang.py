@@ -16,7 +16,11 @@ the `Fraction` wrapper, or the value itself when the tree does not use the
 variable, and `compile_powers` gives the field's log form, its integer
 powers as (integer, exponent) pairs.  The compiled form keeps integral
 values as ints, tests the parity of the exponent of (+-1)^<expr>, and
-raises an expression to a constant power directly.
+raises an expression to a constant power directly.  `compile_column` and
+`compile_power_columns` are the column forms of `compile_exact` and
+`compile_powers`: they map a list of the variable's values to the list of
+results with one list operation per tree node, which is how a product walk
+evaluates thousands of factors at once.
 """
 
 import dataclasses
@@ -24,6 +28,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, Dict, Iterator, Tuple, Union
 
 from . import constants as cst
@@ -686,6 +691,152 @@ def compile_powers(expr: ConstExpr) -> Callable[[int], list]:
     zero or negative; the caller decides what that means.
     """
     return _compile_powers(expr.root, 1)
+
+
+# ---------------------------------------------------------------------------
+# column form of the exact compiler
+#
+# A column kernel maps a non-empty list of the variable's values to the list
+# of the field's exact values, one operation per node for the whole list
+# instead of one closure call per node and value.  Each element equals what
+# the compiled form gives for that value.  The kernel raises where the
+# compiled form raises on some element, with an error the compiled form
+# raises on one of those elements; which one is not promised, so a caller
+# that must name the first failing value evaluates value by value.
+
+
+def _all_ints(values) -> bool:
+    return all(map(isinstance, values, repeat(int)))
+
+
+def _column(f, xs):
+    """A compiled subtree's column at xs: its list, or its constant."""
+    return f(xs) if callable(f) else f
+
+
+def _arith_column(op, a, b) -> list:
+    # op on two columns, or on a column and a constant
+    if type(a) is list:
+        return list(map(op, a, b if type(b) is list else repeat(b)))
+    return list(map(op, repeat(a), b))
+
+
+def _div_column(a, b) -> list:
+    """`_exact_div` over columns."""
+    if type(b) is list:
+        if 0 in b:
+            raise SpecError("division by zero in expression")
+        return list(map(_exact_div, a if type(a) is list else repeat(a), b))
+    if not b:
+        raise SpecError("division by zero in expression")
+    if type(b) is int and _all_ints(a):
+        return [x // b if not x % b else Fraction(x, b) for x in a]
+    return [_exact_div(x, b) for x in a]
+
+
+def _integral_column(es) -> list:
+    """`_integral` over a column: the exponents as ints."""
+    return es if _all_ints(es) else [_integral(e) for e in es]
+
+
+def _pow_column(a, b) -> list:
+    """`_exact_pow` over columns, with the fast forms `_compile` picks."""
+    if type(b) is not list:
+        e = _integral(b)
+        if e < 0:
+            return [_exact_pow(x, e) for x in a]
+        if e:  # `_const_pow`: the cap holds for every element if for the largest
+            if _all_ints(a):
+                _check_power_size(max(max(a), -min(a)), e)
+            else:
+                for x in a:
+                    _check_power_size(x, e)
+        return [x ** e for x in a]
+    if type(a) is list:
+        return list(map(_exact_pow, a, b))
+    if a in (1, -1):  # `_sign_pow`: a parity test
+        signs = (1, a)
+        return [signs[e & 1] for e in _integral_column(b)]
+    return [_exact_pow(a, e) for e in b]
+
+
+_ARITH_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
+def _compile_column(node: Node):
+    if isinstance(node, RationalLit):
+        return _compile(node)
+    if isinstance(node, Var):
+        return lambda xs: xs  # the variable's values themselves
+    if isinstance(node, Unary):
+        f = _compile_column(node.operand)
+        return (lambda xs: list(map(operator.neg, f(xs)))) if callable(f) else -f
+    a, b = _compile_column(node.left), _compile_column(node.right)
+    if not (callable(a) or callable(b)):
+        return _compile(node)  # folded exactly as the compiled form folds it
+    if node.op == "pow":
+        return lambda xs: _pow_column(_column(a, xs), _column(b, xs))
+    if node.op == "div":
+        return lambda xs: _div_column(_column(a, xs), _column(b, xs))
+    op = _ARITH_OPS[node.op]
+    return lambda xs: _arith_column(op, _column(a, xs), _column(b, xs))
+
+
+def compile_column(expr: ConstExpr):
+    """The column form of `compile_exact`: the tree's exact value when it
+    does not use the variable, otherwise a function from a non-empty list of
+    the variable's int values to the list of exact values, ints or
+    Fractions, each equal to what `compile_exact` gives for that value."""
+    return _compile_column(expr.root)
+
+
+def _scaled(m, k):
+    # an exponent column or constant m times an exponent column or constant k
+    if type(k) is list:
+        return [m * e for e in k] if type(m) is int else list(map(operator.mul, m, k))
+    return m * k if type(m) is int else [e * k for e in m]
+
+
+def _compile_power_columns(node: Node, sign: int):
+    # `_compile_powers` over columns; `sign` as there
+    if isinstance(node, Binary) and node.op in ("mul", "div"):
+        a = _compile_power_columns(node.left, sign)
+        b = _compile_power_columns(node.right, sign if node.op == "mul" else -sign)
+        return lambda xs: a(xs) + b(xs)
+    if isinstance(node, Binary) and node.op == "pow":
+        a, e = _compile_power_columns(node.left, sign), _compile_column(node.right)
+
+        def power(xs):
+            k = _column(e, xs)
+            k = _integral_column(k) if type(k) is list else _integral(k)
+            return [(v, _scaled(m, k)) for v, m in a(xs)]
+
+        return power
+    f = _compile_column(node)
+    if not callable(f):
+        pairs = _integer_pairs(f, sign)
+        return lambda xs: pairs
+
+    def split(xs):
+        vs = f(xs)
+        if _all_ints(vs):
+            return [(vs, sign)]
+        return [([v.numerator for v in vs], sign), ([v.denominator for v in vs], -sign)]
+
+    return split
+
+
+def compile_power_columns(expr: ConstExpr) -> Callable[[list], list]:
+    """The column form of `compile_powers`: a function from a non-empty list
+    of the variable's int values to (integers, exponent) pairs.  Each part
+    is a list with one entry per value, or one int that holds for every
+    value.  At the i-th value, the pairs' i-th entries are `compile_powers`'
+    pairs there, apart from pairs of the integer 1: a subtree whose column
+    holds both ints and Fractions is split into a numerator and a
+    denominator column, so an int's denominator enters as 1.  Errors are
+    those of `compile_column`, and an integer may be zero or negative there
+    too."""
+    return _compile_power_columns(expr.root, 1)
 
 
 # ---------------------------------------------------------------------------

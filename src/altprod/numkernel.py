@@ -591,6 +591,25 @@ class PrimeLogTable:
             x //= q
             counts[q] = counts.get(q, 0) + m
 
+    def add_all(self, counts: dict, changes) -> None:
+        """``add`` for each (integer x >= 1, m) of ``changes``, such as a
+        dict's items: the integers below the sieve cap split in one loop."""
+        spf, get = self._spf, counts.get
+        size = len(spf)
+        for x, m in changes:
+            if not m:
+                continue
+            if x >= size:
+                if x >= _SIEVE_CAP:
+                    self.add(counts, x, m)
+                    continue
+                _cover(spf, x)
+                size = len(spf)
+            while x > 1:
+                q = spf[x]
+                x //= q
+                counts[q] = get(q, 0) + m
+
     def fixed_logs(self, p: int, bound: int) -> _FixedLogs:
         """The atom logs for a dot product rounded to p bits whose vectors,
         over the product's denominator, have sum |c_q| bitlen(q) <= bound: a

@@ -14,9 +14,11 @@ times a rational power of e (the brute-force oracle, which multiplies
 directly), and in log space for the limit machinery.  The log form never
 takes a log per factor and builds no factor as a `Fraction`: each factor's
 log form, its integers with exact integer exponents, adds m_k times those
-exponents to a count per integer; each integer touched since the last
-request is split into primes once, and the log partial is the prime log
-table's ``log_sum`` of the prime exponents, rounded once.  Limits are
+exponents to a count per integer; the factors are evaluated a chunk at a
+time by the fields' column kernels (see exprlang.compile_column), one list
+operation per tree node.  Each integer touched since the last request is
+split into primes once, and the log partial is the prime log table's
+``log_sum`` of the prime exponents, rounded once.  Limits are
 delegated to the sequence-acceleration module on the log-partial sequence,
 whose ``combine`` hook is the session's ``log_partial`` with weights: a
 Richardson round asks for its extrapolation and its error estimate as two
@@ -31,7 +33,8 @@ path.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Callable, Optional, Tuple, Union
 
 from . import exprlang as ex
@@ -107,11 +110,6 @@ def _compile(text: str, var: str, *, alternation=False, what: str):
     return _compile_tree(text, var, alternation=alternation, what=what)[1]
 
 
-def _compile_exact(text: str, var: str, *, alternation=False, what: str):
-    tree = _compile_tree(text, var, alternation=alternation, what=what)[0]
-    return ex.compile_exact(tree)
-
-
 # -- domain types --------------------------------------------------------------
 
 
@@ -126,6 +124,7 @@ class ExactPartial:
 _Field = Callable[[int], Fraction]
 _Pairs = Callable[[int], list]  # a field's log form (see exprlang.compile_powers)
 _Exact = Callable[[int], Union[int, Fraction]]  # see exprlang.compile_exact
+_Column = Callable[[list], list]  # see exprlang.compile_column and compile_power_columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,15 +135,21 @@ class BridgedProductSpec:
     fields (upper_index, bridge) are exposed as evaluation methods over the
     compiled expressions; ``factor_log`` and ``bridge_log`` give the factor
     and the bridge in log form, without building their exact values.
+    ``factor_columns`` gives the factor's log form, the exponent and the
+    e-exponent of a whole run of k at once, from column kernels.
     """
 
     name: str
     k_start: int
     _factor: _Field = field(repr=False)
-    _factor_pairs: _Pairs = field(repr=False)
     # the two exponents are values where they do not depend on k
     _exponent: Union[int, Fraction, _Exact] = field(repr=False)
     _e_exponent: Union[Fraction, _Exact] = field(repr=False)
+    # column kernels of the factor's log form, the exponent and the
+    # e-exponent; the exponents are values where they do not depend on k
+    _columns: Tuple[_Column, Union[int, Fraction, _Column], Union[Fraction, _Column]] = field(
+        repr=False
+    )
     _upper: _Field = field(repr=False)
     # base, power, e-power, and the base's log form (see exprlang.compile_powers)
     _bridge: Optional[Tuple[_Field, _Field, _Field, _Pairs]] = field(
@@ -159,22 +164,50 @@ class BridgedProductSpec:
 
     def factor_log(self, k: int) -> list:
         """f(k) without its exact value: (integer, exponent) pairs whose
-        product of powers is f(k), every integer positive.
+        product of powers is f(k), every integer positive; the one-k column
+        of the factor's log form.
 
         Where the pairs hold an integer <= 0, or cannot be evaluated, f(k)
         itself is evaluated: it raises what ``factor`` raises, or is
         positive, and the integers are taken in absolute value.
         """
         try:
-            pairs = self._factor_pairs(k)
+            columns = self._columns[0]([k])
         except (SpecError, DomainError, OracleRangeError):
             self.factor(k)  # the error that evaluating f(k) meets first
             raise
+        pairs = [(v if type(v) is int else v[0], m if type(m) is int else m[0])
+                 for v, m in columns]
         for v, _ in pairs:
             if v <= 0:
                 self.factor(k)
                 return [(abs(v), m) for v, m in pairs]
         return pairs
+
+    def factor_columns(self, ks: list) -> Optional[Tuple[list, list, Optional[list]]]:
+        """The factors at the ks, a non-empty list, in column form: the log
+        form as (integers, exponent) pairs, each part a list with one entry
+        per k or one int for every k (see exprlang.compile_power_columns),
+        every integer positive; the exponents m_k, as ints; and the
+        e-exponents, or None where they do not depend on k.
+
+        Returns None where a column raises, an integer is <= 0 or an
+        exponent is not an int: ``factor_log``, ``exponent`` and
+        ``e_exponent``, k by k, then tell which k fails and how.
+        """
+        pairs_at, exponent_at, e_at = self._columns
+        try:
+            pairs = pairs_at(ks)
+            ms = exponent_at(ks) if callable(exponent_at) else [exponent_at] * len(ks)
+            es = e_at(ks) if callable(e_at) else None
+        except (SpecError, DomainError, OracleRangeError):
+            return None
+        for v, _ in pairs:
+            if (v if type(v) is int else min(v)) <= 0:
+                return None
+        if not all(map(isinstance, ms, repeat(int))):
+            return None
+        return pairs, ms, es
 
     def exponent(self, k: int) -> int:
         e = self._exponent
@@ -261,8 +294,9 @@ def parse_product_spec(text: str) -> BridgedProductSpec:
     if k_start < 0:
         raise SpecError("k_start must be >= 0")
     factor_tree, factor = _compile_tree(fields["factor"], "k", what="factor")
-    exponent = _compile_exact(fields["exponent"], "k", alternation=True, what="exponent")
-    e_exponent = _compile_exact(fields.get("e_exponent", "0"), "k", what="e_exponent")
+    exponent_tree = _compile_tree(fields["exponent"], "k", alternation=True, what="exponent")[0]
+    e_tree = _compile_tree(fields.get("e_exponent", "0"), "k", what="e_exponent")[0]
+    e_exponent = ex.compile_exact(e_tree)
     if not callable(e_exponent):
         e_exponent = Fraction(e_exponent)
     upper = _compile(fields["upper"], "n", what="upper")
@@ -283,9 +317,13 @@ def parse_product_spec(text: str) -> BridgedProductSpec:
         name=name,
         k_start=k_start,
         _factor=factor,
-        _factor_pairs=ex.compile_powers(factor_tree),
-        _exponent=exponent,
+        _exponent=ex.compile_exact(exponent_tree),
         _e_exponent=e_exponent,
+        _columns=(
+            ex.compile_power_columns(factor_tree),
+            ex.compile_column(exponent_tree),
+            ex.compile_column(e_tree),
+        ),
         _upper=upper,
         _bridge=bridge,
     )
@@ -476,18 +514,32 @@ def partial_exact(spec: BridgedProductSpec, n: int) -> ExactPartial:
 
 
 # a walk splits its waiting integers into atoms when more than this many
-# wait, checked after each quarter as many factors, so a long walk's buffer
-# stays small and the check costs nothing per factor
+# wait, checked after each chunk of a quarter as many factors, so a long
+# walk's buffer stays small and the check costs nothing per factor
 _PENDING_CAP = 1 << 14
+
+# the most factors past k_start that a log partial walks: a request beyond
+# it is refused before any factor is walked, so every request ends in
+# bounded time.  It admits the GS53R table row at n = 240000 (480000
+# factors).  A factor's cost grows with its integers: past 2^32 trial
+# division runs over most of the sieve's primes, so HOLCOMBE's k^2 - 1 at
+# the budget took 30 s (x86-64, CPython 3.11), against 2.1 s at k = 10^5
+_WALK_BUDGET = 1 << 19
 
 
 class ProductEvalSession:
     """Incremental log-partial evaluation for one spec.
 
     Walking the factors collects exact integer exponents instead of adding
-    logs.  Each step takes the factor's log form (``factor_log``) and adds
-    m_k times each pair's exponent to a count per integer; no step builds a
-    `Fraction` or takes a gcd.  Every integer splits into its primes, and
+    logs.  The walk evaluates a chunk of factors at once
+    (``factor_columns``: their log forms, exponents m_k and e-exponents) and
+    adds m_k times each pair's exponent to a count per integer; no step
+    builds a `Fraction` or takes a gcd.  A chunk whose columns raise, hold
+    an integer <= 0 or a non-integral exponent is walked k by k through
+    ``factor_log`` and ``exponent``, so an error names the first factor that
+    raises and leaves the counts of those before it.  A variable e-exponent
+    is summed a chunk at a time in integers over a common denominator.
+    Every integer splits into its primes, and
     the counts are exact integers that cancel, so the prime exponents are
     those of f(k)'s reduced numerator and denominator however its text is
     written.  A constant e-exponent adds up in closed form, c times the
@@ -497,9 +549,12 @@ class ProductEvalSession:
     WYNN or EULER far fewer factors than taking the walked ones away.
 
     ``log_partial`` splits each integer touched since the last request into
-    atoms once (neighbouring factors of k/(k+1) share k + 1); a long walk
-    splits them on the way when more than ``_PENDING_CAP`` wait, so the
-    buffer stays bounded while the atom counts grow only with the primes.
+    atoms once, in one batch (neighbouring factors of k/(k+1) share k + 1);
+    a long walk splits them on the way when more than ``_PENDING_CAP``
+    wait, so the buffer stays bounded while the atom counts grow only with
+    the primes.  A request whose upper index lies more than
+    ``_WALK_BUDGET`` factors past k_start is refused before any factor is
+    walked.
     The value is the table's ``log_sum`` of the counts and the bridge's
     pairs, with the e-part as its offset, so it is a function of (n, p)
     alone, whatever was requested before.
@@ -512,8 +567,10 @@ class ProductEvalSession:
     node's bridge pairs and e-part carry that node's own weight.  So the
     factors are walked once, each vector is one exact atom count, and the
     vectors are the terms of one ``log_sum`` request over den, which takes
-    every atom log at one fixed point.  Sessions are meant for a single
-    evaluation run and are not shared across threads.
+    every atom log at one fixed point.  The nodes' walks share the
+    request's chunk evaluations: each chunk reaches as far as the last
+    node's upper index.  Sessions are meant for a single evaluation run and
+    are not shared across threads.
     """
 
     def __init__(self, spec: BridgedProductSpec):
@@ -528,47 +585,77 @@ class ProductEvalSession:
         self._counts = {}  # atom -> exact exponent over the walked factors
         self._e = Fraction(0)  # e-powers of the walked factors, when they depend on k
         self._next_k = self.spec.k_start
+        # the chunk being walked: (first k, last k, its factor_columns)
+        self._chunk = None
 
-    def _walk(self, upper: int, into: Optional[dict] = None) -> None:
+    def _walk(self, upper: int, into: Optional[dict] = None, horizon: int = 0) -> None:
         """Walk the factors up to upper, adding each factor's integer counts
         and splitting them onto the atom counts ``into`` (the session's by
         default) when too many wait; a request below the factors walked so
-        far starts again at k_start."""
+        far starts again at k_start.
+
+        The factors are evaluated a chunk at a time, in column form, up to
+        at most max(upper, horizon), so the walks of one request to
+        increasing uppers share one evaluation; a chunk that does not
+        evaluate cleanly is walked k by k."""
         if upper < self._next_k - 1:
             self._restart()
-        spec, pending = self.spec, self._pending
-        factor_log, exponent = spec.factor_log, spec.exponent
-        e_at = spec._e_exponent if callable(spec._e_exponent) else None
-        done = self._next_k
-        ks = range(done, upper + 1)
-        e_sum = 0
         chunk = _PENDING_CAP // 4
-        try:
-            for start in range(0, len(ks), chunk):
-                for k in ks[start:start + chunk]:
-                    pairs = factor_log(k)
-                    m = exponent(k)
-                    e = e_at(k) if e_at is not None else 0
-                    if m:
-                        for v, c in pairs:
-                            pending[v] = pending.get(v, 0) + c * m
-                    e_sum += e
-                    done = k + 1
-                if len(pending) > _PENDING_CAP:
-                    self._split_pending(into)
-        finally:
-            self._next_k = done
-            if e_sum:
-                self._e += e_sum
+        end = max(upper, horizon)
+        while self._next_k <= upper:
+            k = self._next_k
+            if self._chunk is None or self._chunk[1] < k:
+                last = min(k + chunk, end + 1) - 1
+                self._chunk = (k, last, self.spec.factor_columns(list(range(k, last + 1))))
+            first, last, columns = self._chunk
+            stop = min(upper, last) + 1
+            if columns is None:
+                self._walk_each(k, stop)
+            else:
+                self._fold(columns, k - first, stop - first)
+            if len(self._pending) > _PENDING_CAP:
+                self._split_pending(into)
+
+    def _fold(self, columns, a: int, b: int) -> None:
+        """Add the factors at offsets a .. b - 1 of a chunk's columns."""
+        pairs, ms, es = columns
+        pending = self._pending
+        get = pending.get
+        ms = ms[a:b]
+        for vs, c in pairs:
+            if type(c) is list:
+                changes = list(map(mul, c[a:b], ms))
+            else:
+                changes = ms if c == 1 else [c * m for m in ms]
+            if type(vs) is int:
+                pending[vs] = get(vs, 0) + sum(changes)
+            else:
+                for v, d in zip(vs[a:b], changes):
+                    pending[v] = get(v, 0) + d
+        if es is not None:
+            self._e += _exact_dot(repeat(1), es[a:b])
+        self._next_k += b - a
+
+    def _walk_each(self, lo: int, hi: int) -> None:
+        """Add the factors k = lo .. hi - 1 one at a time; one that raises
+        leaves the counts of those before it."""
+        spec, pending = self.spec, self._pending
+        e_at = spec.e_exponent if callable(spec._e_exponent) else None
+        for k in range(lo, hi):
+            pairs = spec.factor_log(k)
+            m = spec.exponent(k)
+            e = e_at(k) if e_at is not None else 0
+            if m:
+                for v, c in pairs:
+                    pending[v] = pending.get(v, 0) + c * m
+            if e:
+                self._e += e
+            self._next_k = k + 1
 
     def _split_pending(self, into: Optional[dict] = None) -> None:
         """Move the waiting integers' exponent changes onto the atom counts
         ``into``, the session's by default."""
-        logs = self._logs
-        into = self._counts if into is None else into
-        for v, d in self._pending.items():
-            if d:
-                logs.add(into, v, d)
+        self._logs.add_all(self._counts if into is None else into, self._pending.items())
         self._pending.clear()
 
     def log_partial(self, n: int, p: int, weights=None, den: int = 1) -> Union[Real, list]:
@@ -588,29 +675,36 @@ class ProductEvalSession:
         if first < 0:
             raise SpecError("partial index must be >= 0")
         spec, logs = self.spec, self._logs
+        uppers = [spec.upper_index(first)]
+        for node in range(first + 1, n + 1):
+            upper = spec.upper_index(node)
+            if upper <= uppers[-1]:
+                raise SpecError(
+                    f"{spec.name}: upper must increase strictly with n, but upper({node})"
+                    f" = {upper} after upper({node - 1}) = {uppers[-1]}"
+                )
+            uppers.append(upper)
+        if uppers[-1] > spec.k_start + _WALK_BUDGET:
+            raise OracleRangeError(
+                f"{spec.name}: upper({n}) = {uppers[-1]} is past the walk budget of"
+                f" {_WALK_BUDGET} factors from k_start = {spec.k_start}"
+            )
+        horizon = uppers[-1]
         # suffix[v][i]: the weight of a factor first walked for node i
         suffix = [list(accumulate(reversed(w)))[::-1] for w in vectors]
         e_varies = callable(spec._e_exponent)
         atoms, bridges = None, [{} for _ in vectors]
         e_walked, e_bridge = [], []  # per node
-        prev = None
         for i, node in enumerate(range(first, n + 1)):
-            raw_upper = spec.upper_index(node)
-            if prev is not None and raw_upper <= prev:
-                raise SpecError(
-                    f"{spec.name}: upper must increase strictly with n, but upper({node})"
-                    f" = {raw_upper} after upper({node - 1}) = {prev}"
-                )
-            prev = raw_upper
-            upper = max(raw_upper, spec.k_start - 1)
+            upper = max(uppers[i], spec.k_start - 1)
             if i == 0:
-                self._walk(upper)
+                self._walk(upper, horizon=horizon)
                 self._split_pending()
                 atoms = [{q: s[0] * c for q, c in self._counts.items()} for s in suffix]
             else:
                 seg = {}  # the atoms of the factors first walked for this node
                 try:
-                    self._walk(upper, seg)
+                    self._walk(upper, seg, horizon)
                     self._split_pending(seg)
                 finally:
                     # a walk that raised keeps the counts of what it walked
@@ -629,8 +723,7 @@ class ProductEvalSession:
                 pairs, epower = br
                 e_bridge.append(epower)
                 node_bridge = {}
-                for v, m in pairs:
-                    logs.add(node_bridge, v, m)
+                logs.add_all(node_bridge, pairs)
                 for w, bv in zip(vectors, bridges):
                     if w[i]:
                         for q, c in node_bridge.items():

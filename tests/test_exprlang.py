@@ -533,3 +533,72 @@ def test_compiled_powers_multiply_to_the_exact_field(text, k):
     except SpecError:  # division by zero, folded or at this k
         return
     assert _power_product(ex.compile_powers(expr)(k)) == want
+
+
+def _product_texts(sign_powers: bool):
+    # the product-field grammar: rational literals, k, + - * /, unary minus,
+    # constant integer powers and, in an exponent, (-1)^<expr>
+    def grow(inner):
+        forms = [
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+            inner.map(lambda a: f"-{a}"),
+            st.tuples(inner, st.sampled_from(["0", "1", "2", "3", "(0-1)", "(0-2)"])).map(
+                lambda t: f"({t[0]})^{t[1]}"
+            ),
+        ]
+        if sign_powers:
+            forms.append(inner.map(lambda a: f"(-1)^({a})"))
+        return st.one_of(*forms)
+
+    return st.recursive(st.sampled_from(["k", "0", "1", "2", "3", "7", "1.5"]), grow, max_leaves=8)
+
+
+def _column_entry(part, i):
+    return part if type(part) is int else part[i]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    text=st.one_of(_product_texts(False), _product_texts(True)),
+    lo=st.integers(-8, 40),
+    count=st.integers(1, 12),
+)
+def test_column_kernels_are_the_compiled_forms_element_for_element(text, lo, count):
+    try:
+        expr, _ = ex.compile_field(text, "k")
+    except SpecError:  # a division by zero folded at compile time
+        return
+    ks = list(range(lo, lo + count))
+    exact, column = ex.compile_exact(expr), ex.compile_column(expr)
+    if not callable(exact):
+        assert not callable(column) and type(column) is type(exact) and column == exact
+    else:
+        scalar = [_outcome(exact, k) for k in ks]
+        errors = [o for o in scalar if type(o) is tuple]
+        try:
+            got = column(ks)
+        except (SpecError, OracleRangeError) as err:
+            # it raises where the scalar form raises, with one of its errors
+            assert (type(err), str(err)) in errors
+        else:
+            assert not errors
+            assert [type(v) for v in got] == [type(exact(k)) for k in ks]
+            assert [Fraction(v) for v in got] == scalar
+    powers, power_columns = ex.compile_powers(expr), ex.compile_power_columns(expr)
+    scalar, errors = [], []
+    for k in ks:
+        try:
+            scalar.append(powers(k))
+        except (SpecError, OracleRangeError) as err:
+            errors.append((type(err), str(err)))
+    try:
+        pairs = power_columns(ks)
+    except (SpecError, OracleRangeError) as err:
+        assert (type(err), str(err)) in errors
+    else:
+        assert not errors
+        for i, want in enumerate(scalar):
+            got = [(_column_entry(v, i), _column_entry(m, i)) for v, m in pairs]
+            # where the column mixes ints and Fractions, an int's denominator
+            # enters as the integer 1
+            assert [pair for pair in got if pair[0] != 1] == [pair for pair in want if pair[0] != 1]

@@ -418,6 +418,28 @@ def test_prime_log_table_splits_integers_into_atoms():
     assert split(65537 * 65539) == {65537 * 65539: 1}
 
 
+@given(
+    changes=st.lists(
+        st.tuples(st.integers(1, 1 << 36), st.integers(-3, 3)), min_size=1, max_size=12
+    ),
+    start=st.sampled_from([1, 200, 1 << 15]),
+)
+@settings(max_examples=100, deadline=None)
+def test_a_batch_split_is_the_split_of_each_integer(changes, start):
+    # add_all against add one integer at a time, on a sieve grown to start
+    # first: integers below it, past it and past the sieve cap, zeros too
+    batch, single = nk.PrimeLogTable(), nk.PrimeLogTable()
+    for table in (batch, single):
+        table.add({}, start, 1)
+    got, want = {}, {}
+    batch.add_all(got, changes)
+    for x, m in changes:
+        if m:
+            single.add(want, x, m)
+    assert got == want
+    assert batch._spf == single._spf
+
+
 @given(x=st.integers(1, 1 << 40), m=st.integers(-3, 3).filter(bool))
 @settings(max_examples=200, deadline=None)
 def test_prime_log_table_counts_multiply_back(x, m):

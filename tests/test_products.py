@@ -16,6 +16,7 @@ import pytest
 from bounded import cli_snippet, run_bounded
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_exprlang import _product_texts
 
 from altprod import accel
 from altprod import numkernel as nk
@@ -419,6 +420,11 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+def _evaluated_indices(columns) -> list:
+    # the factor indices of the recorded factor_columns calls, in order
+    return [k for _, ks in columns for k in ks]
+
+
 def _prime_factors(x: int) -> set:
     out, q = set(), 2
     while q * q <= x:
@@ -447,11 +453,12 @@ def _distinct_atoms(spec, ns) -> set:
 def test_one_limit_is_one_extrapolation_over_one_factor_walk(monkeypatch, name):
     spec = pr.builtin(name)
     rounds = _count_calls(monkeypatch, accel, "richardson_limit")
-    factors = _count_calls(monkeypatch, pr.BridgedProductSpec, "factor_log")
+    columns = _count_calls(monkeypatch, pr.BridgedProductSpec, "factor_columns")
     logs = _count_calls(monkeypatch, nk, "ln_rational")
     est = pr.limit(spec, nk.bits_for_digits(100), 100)
     assert len(rounds) == 1
     n0, J = 1, est.terms_used - 1
+    factors = _evaluated_indices(columns)
     assert len(factors) == spec.upper_index(n0 + J) - spec.k_start + 1
     assert 0 < len(logs) <= len(_distinct_atoms(spec, range(n0, n0 + J + 1)))
 
@@ -557,21 +564,21 @@ def test_equal_log_partials_extrapolate_with_an_error_estimate_of_zero():
 
 def test_raw_limit_walks_the_factors_once(monkeypatch):
     spec = pr.builtin("MELZAK")
-    factors = _count_calls(monkeypatch, pr.BridgedProductSpec, "factor_log")
+    columns = _count_calls(monkeypatch, pr.BridgedProductSpec, "factor_columns")
     logs = _count_calls(monkeypatch, nk, "ln_rational")
     with pytest.raises(NonConvergenceError):
         pr.limit(spec, nk.bits_for_digits(30), 30, method=RAW, max_terms_cap=512)
-    assert len(factors) == spec.upper_index(512) - spec.k_start + 1
+    assert len(_evaluated_indices(columns)) == spec.upper_index(512) - spec.k_start + 1
     assert 0 < len(logs) <= len(_distinct_atoms(spec, [512]))
 
 
 def test_wynn_rounds_walk_each_factor_once_per_fresh_walk(monkeypatch):
     # every WYNN round requests n0, n0 + 1, ... again: a request below the
-    # factors walked so far starts again at k_start, so factor_log runs once
-    # per factor of each fresh walk and never for taking a factor away
+    # factors walked so far starts again at k_start, so the column kernels
+    # evaluate each factor of each fresh walk once and never one taken away
     spec = pr.builtin("KT3")
     requests = _count_calls(monkeypatch, pr.ProductEvalSession, "log_partial")
-    factors = _count_calls(monkeypatch, pr.BridgedProductSpec, "factor_log")
+    columns = _count_calls(monkeypatch, pr.BridgedProductSpec, "factor_columns")
     try:
         pr.limit(spec, nk.bits_for_digits(40), 40, method=WYNN)
     except NonConvergenceError:
@@ -584,7 +591,7 @@ def test_wynn_rounds_walk_each_factor_once_per_fresh_walk(monkeypatch):
         want.extend(range(walked + 1, upper + 1))
         walked = max(walked, upper)
     assert restarts >= 2
-    assert [k for _, k in factors] == want
+    assert _evaluated_indices(columns) == want
 
 
 def test_a_request_below_a_walk_that_raised_starts_again_clean():
@@ -614,6 +621,123 @@ def test_a_weighted_walk_that_raised_keeps_the_counts_it_walked(monkeypatch):
     assert session._next_k == fresh._next_k == 21
     nonzero = [{q: c for q, c in walked._counts.items() if c} for walked in (session, fresh)]
     assert nonzero[0] == nonzero[1]
+
+
+def _first_failure(spec, upper):
+    # the factors one at a time, as a walk without column kernels takes
+    # them: the first k whose factor_log, exponent or e_exponent raises
+    for k in range(spec.k_start, upper + 1):
+        try:
+            spec.factor_log(k)
+            spec.exponent(k)
+            spec.e_exponent(k)
+        except (SpecError, DomainError, OracleRangeError) as err:
+            return k, type(err), str(err)
+    return None
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    factor=_product_texts(False),
+    exponent=_product_texts(True),
+    e_exponent=st.one_of(st.just("0"), _product_texts(False)),
+    k_start=st.integers(min_value=0, max_value=3),
+    n=st.integers(min_value=0, max_value=40),
+    cap=st.sampled_from([8, 16, 1 << 14]),
+)
+def test_a_walk_raises_at_the_first_factor_the_scalar_form_refuses(
+    factor, exponent, e_exponent, k_start, n, cap
+):
+    # chunks of cap // 4 factors; where one does not evaluate cleanly, the
+    # walk takes it k by k, so it raises what the first refused k raises
+    # and keeps the counts of the factors before it
+    try:
+        spec = pr.parse_product_spec(
+            f"name = g\nfactor = {factor}\nexponent = {exponent}\n"
+            f"e_exponent = {e_exponent}\nk_start = {k_start}\nupper = n"
+        )
+    except SpecError:  # a division by zero folded when the field compiles
+        return
+    failure = _first_failure(spec, n)
+    ks = range(k_start, max(n + 1, k_start) if failure is None else failure[0])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pr, "_PENDING_CAP", cap)
+        session = pr.ProductEvalSession(spec)
+        if failure is None:
+            session.log_partial(n, 64)
+        else:
+            with pytest.raises(failure[1]) as info:
+                session.log_partial(n, 64)
+            assert str(info.value) == failure[2]
+    session._split_pending()
+    assert session._next_k == ks.stop
+    assert {q: c for q, c in session._counts.items() if c} == _reference_counts(spec, ks)
+    if callable(spec._e_exponent):
+        assert session._e == sum((spec.e_exponent(k) for k in ks), Fraction(0))
+
+
+@pytest.mark.parametrize("factor,error,match", [
+    ("(k-5000)^2/k", DomainError, "k=5000 is not positive"),
+    ("k/(k-5000)^2", SpecError, "division by zero"),
+])
+def test_a_walk_that_raises_past_a_chunk_boundary_names_its_factor(factor, error, match):
+    # the refused factor lies in the second chunk of 4096 factors; the walk
+    # keeps every factor before it, and a lower request starts again clean
+    spec = pr.parse_product_spec(f"name = z\nfactor = {factor}\nexponent = k\nupper = 2*n")
+    session = pr.ProductEvalSession(spec)
+    session.log_partial(2, 128)
+    with pytest.raises(error, match=match):
+        session.log_partial(3000, 128)
+    assert session._next_k == 5000
+    session._split_pending()
+    assert {q: c for q, c in session._counts.items() if c} == _reference_counts(spec, range(1, 5000))
+    assert session.log_partial(1, 128).raw == fresh_log_partial(spec, 1, 128).raw
+    assert session.log_partial(2400, 128).raw == fresh_log_partial(spec, 2400, 128).raw
+
+
+def test_a_variable_e_exponent_walked_across_chunk_boundaries_is_the_exact_sum():
+    # e-exponents summed a chunk at a time over a common denominator: the
+    # requests cross the chunk boundary at k = 4096 within one node and
+    # between the nodes of a weighted request
+    spec = pr.parse_product_spec(
+        "name = evar\nfactor = (k+1)/k\nexponent = k*(-1)^k\n"
+        "e_exponent = 1/(k+1)\nupper = 2*n"
+    )
+    p = 160
+    session = pr.ProductEvalSession(spec)
+    for n in (1500, 2100, 2500):
+        got = session.log_partial(n, p)
+        ks = range(1, 2 * n + 1)
+        e_power = sum((Fraction(1, k + 1) for k in ks), Fraction(0))
+        assert session._e == e_power
+        want = nk.PrimeLogTable().log_sum(p, [([_reference_counts(spec, ks)], e_power)])[0]
+        assert got.raw == want.raw
+    n, vectors = 2050, ([3, -1, 0, 7, 2],)
+    (got,) = pr.ProductEvalSession(spec).log_partial(n, p, vectors)
+    with mp.workprec(p + 128):
+        samples = [as_mpf(fresh_log_partial(spec, m, p + 128)) for m in range(n - 4, n + 1)]
+        want = mp.fsum(c * s for c, s in zip(vectors[0], samples))
+        assert abs(as_mpf(got) - want) <= abs(want) * mp.mpf(2) ** (1 - p)
+
+
+def test_a_request_past_the_walk_budget_is_refused_before_any_factor(monkeypatch):
+    monkeypatch.setattr(pr, "_WALK_BUDGET", 100)
+    spec = pr.parse_product_spec("name = b\nfactor = k/(k+1)\nexponent = k\nk_start = 3\nupper = 2*n")
+    columns = _count_calls(monkeypatch, pr.BridgedProductSpec, "factor_columns")
+    session = pr.ProductEvalSession(spec)
+    with pytest.raises(OracleRangeError, match=r"upper\(52\) = 104 is past the walk budget"):
+        session.log_partial(52, 64)
+    with pytest.raises(OracleRangeError, match="walk budget"):
+        session.log_partial(52, 64, ([1, -1],))
+    assert session._next_k == 3 and not columns
+    assert session.log_partial(51, 64).raw == fresh_log_partial(spec, 51, 64).raw  # 102 = 3 + 99
+
+
+def test_a_table_row_past_the_walk_budget_exits_3_at_once():
+    # KT1 at n = 10^9 would walk 2 * 10^9 factors
+    run = run_bounded(cli_snippet("table", "KT1", "--n", "1000000000"), budget_s=20)
+    assert run.returncode == 3, run.stderr
+    assert "walk budget" in run.stderr
 
 
 def _digest(values) -> str:
