@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import mul
+from operator import mul, xor
 from typing import Callable, Optional, Tuple, Union
 
 from . import exprlang as ex
@@ -191,9 +191,12 @@ class BridgedProductSpec:
         every integer positive; the exponents m_k, as ints; and the
         e-exponents, or None where they do not depend on k.
 
-        Returns None where a column raises, an integer is <= 0 or an
-        exponent is not an int: ``factor_log``, ``exponent`` and
-        ``e_exponent``, k by k, then tell which k fails and how.
+        Negative integers are taken in absolute value where every factor
+        stays positive: no integer is 0 and, at each k, an even number of
+        negative integers carry an odd exponent.  Returns None where a
+        column raises, that fails, or an exponent is not an int:
+        ``factor_log``, ``exponent`` and ``e_exponent``, k by k, then tell
+        which k fails and how.
         """
         pairs_at, exponent_at, e_at = self._columns
         try:
@@ -202,9 +205,22 @@ class BridgedProductSpec:
             es = e_at(ks) if callable(e_at) else None
         except (SpecError, DomainError, OracleRangeError):
             return None
-        for v, _ in pairs:
-            if (v if type(v) is int else min(v)) <= 0:
+        odd = None  # per k, the parity of the negative integers with odd exponents
+        for i, (v, c) in enumerate(pairs):
+            if (v if type(v) is int else min(v)) > 0:
+                continue
+            vs = [v] * len(ks) if type(v) is int else v
+            if 0 in vs:
                 return None
+            cs = c if type(c) is list else repeat(c)
+            flips = [x < 0 and e & 1 for x, e in zip(vs, cs)]
+            if odd is None:
+                odd, pairs = flips, list(pairs)  # the kernel may hand out a shared list
+            else:
+                odd = list(map(xor, odd, flips))
+            pairs[i] = (abs(v) if type(v) is int else list(map(abs, v)), c)
+        if odd is not None and any(odd):
+            return None
         if not all(map(isinstance, ms, repeat(int))):
             return None
         return pairs, ms, es

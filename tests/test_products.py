@@ -871,6 +871,27 @@ def test_factor_log_takes_negated_parts_in_absolute_value():
         assert fresh_log_partial(spec, n, 160).raw == fresh_log_partial(kt1, n, 160).raw
 
 
+def test_negated_parts_walk_on_the_column_path(monkeypatch):
+    # (-k)/(-k-1) is KT1's factor with both parts negated: the chunk takes
+    # them in absolute value instead of walking k by k
+    spec = _negated_parts_spec()
+    per_k = _count_calls(monkeypatch, pr.BridgedProductSpec, "factor_log")
+    got = fresh_log_partial(spec, 2000, 100)
+    assert per_k == []
+    assert got.raw == fresh_log_partial(pr.builtin("KT1"), 2000, 100).raw
+
+
+@pytest.mark.parametrize(
+    "factor,k",
+    [("(-k)/(k+1)", 1), ("(k-4)*(k-6)/(k+1)", 4), ("(2*k-7)*(-k)/(k+1)", 4),
+     ("(-k)^3*(k-9)/(k+1)", 9), ("(-k)^2*(k-9)/(k+1)", 1)],
+)
+def test_a_non_positive_factor_with_negated_parts_names_its_k(factor, k):
+    spec = pr.parse_product_spec(f"name = m\nfactor = {factor}\nexponent = k\nupper = 2*n")
+    with pytest.raises(DomainError, match=f"k={k} is not positive"):
+        fresh_log_partial(spec, 40, 100)
+
+
 def test_factor_log_raises_what_the_factor_raises():
     zero = pr.parse_product_spec("name = z\nfactor = (k-3)/k\nexponent = k\nupper = 2*n")
     with pytest.raises(DomainError, match="k=3"):

@@ -10,6 +10,7 @@ along algorithmically unrelated code paths.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -61,12 +62,46 @@ def test_bernoulli_even_exact_values():
     assert bernoulli_even(0) == Fraction(1)
 
 
-def test_bernoulli_cache_concurrent_readers():
+def _bernfrac(n):
+    p, q = mp.bernfrac(2 * n)
+    return Fraction(int(p), int(q))
+
+
+def test_bernoulli_table_matches_mpmath_across_its_blocks(monkeypatch):
+    # a fresh table, grown through its block edges in this order
+    monkeypatch.setattr(zg, "_bern_table", ())
+    for n in (63, 64, 65, 127, 128, 300):
+        assert bernoulli_even(n) == _bernfrac(n), n
+    assert len(zg._bern_table) == 512
+    assert [bernoulli_even(n) for n in range(301)] == [_bernfrac(n) for n in range(301)]
+
+
+def test_nothing_is_built_at_import():
+    code = "from altprod import zetagamma as zg; import altprod; print(len(zg._bern_table))"
+    run = run_bounded(code, budget_s=30)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0"
+
+
+def test_bernoulli_cache_concurrent_readers(monkeypatch):
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=8) as ex:
         vals = list(ex.map(bernoulli_even, [30] * 16))
     assert len(set(vals)) == 1
+
+    # readers on both sides of the block edges while the table grows
+    monkeypatch.setattr(zg, "_bern_table", ())
+    ns = [30, 63, 64, 65, 127, 128, 200, 64, 1, 129] * 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            got = list(ex.map(bernoulli_even, ns, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [_bernfrac(n) for n in ns]
+    assert len(zg._bern_table) == 256
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +422,187 @@ def test_zeta_plan_bounds_depend_on_the_order_not_the_caller_precision():
     assert N < zg._EM_TERMS_CAP and wp - nk.bits_for_digits(4000) < 64
     with pytest.raises(nk.OracleRangeError, match="zeta order adds"):
         zg._em_plan(Fraction(-388), Fraction(1), 136)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point tails against the mpf loops they replaced
+#
+# The references below are the Stirling and Euler-Maclaurin evaluators as
+# they were when each tail term was a Fraction coefficient times an mpf
+# power, added into an mpf sum at the working precision.  The integer tails
+# change only rounding far below the working precision, so the results agree
+# bit for bit once rounded to p.
+
+
+def _ln_gamma_reference(x, p):
+    x = Fraction(x)
+    if x.denominator == 1 and x <= 40000:
+        return nk.ln_rational(math.factorial(int(x) - 1), p)
+    wp = p + 32
+    xf = float(x) if x < 10**300 else 1e300
+    thresh = 0.115 * (wp + 16) + 2.0
+    m = 0 if xf >= thresh else int(math.ceil(thresh - xf))
+    if m:
+        wp += max(0, int(m * math.log2(m + xf + 2))).bit_length() + 8
+    t = x + m
+    lnt = nk.ln_rational(t, wp)
+    tr = nk.to_real(t, wp)
+    acc = nk.sub(nk.mul(nk.to_real(t - Fraction(1, 2), wp), lnt, wp), tr, wp)
+    ln2pi = nk.add(nk.ln2(wp), nk.ln(nk.pi_ref(wp), wp), wp)
+    acc = nk.add(acc, nk.ldexp(ln2pi, -1), wp)
+    inv = nk.div(nk.to_real(1, wp), tr, wp)
+    inv2 = nk.mul(inv, inv, wp)
+    pw = inv
+    tol = nk.ldexp(nk.to_real(1, wp), -wp - 4)
+    prev = None
+    for n in range(1, wp + 1):
+        c = bernoulli_even(n) / ((2 * n) * (2 * n - 1))
+        term = nk.mul(nk.to_real(c, wp), pw, wp)
+        acc = nk.add(acc, term, wp)
+        mag = abs(term)
+        if mag < tol:
+            break
+        assert prev is None or mag < prev, "Stirling tail stalled"
+        prev = mag
+        pw = nk.mul(pw, inv2, wp)
+    else:
+        raise AssertionError("Stirling tail exceeded its cap")
+    if m:
+        prod = Fraction(1)
+        for k in range(m):
+            prod *= x + k
+        acc = nk.sub(acc, nk.ln_rational(prod, wp), wp)
+    return acc.at(p)
+
+
+def _em_zeta_reference(s, a, p, derivative):
+    s, a = Fraction(s), Fraction(a)
+    N, wp = zg._em_plan(s, a, p)
+    for _ in range(6):
+        try:
+            return _em_zeta_once_reference(s, a, wp, N, derivative).at(p)
+        except nk.NonConvergenceError:
+            N *= 2
+            wp += 16
+    raise AssertionError("Euler-Maclaurin failed to settle")
+
+
+def _em_zeta_once_reference(s, a, wp, N, derivative):
+    s_int = int(s) if s.denominator == 1 else None
+    sr, one = nk.to_real(s, wp), nk.to_real(1, wp)
+
+    def power_neg_s(base):
+        if s_int is not None:
+            return nk.pow_int(nk.to_real(base, wp), -s_int, wp)
+        return nk.powr(nk.to_real(base, wp), -sr, wp)
+
+    if derivative and s_int is not None and s_int <= 0:
+        head = zg._log_power_head(-s_int, a, N, wp)
+    else:
+        head = nk.to_real(0, wp)
+        for n in range(N):
+            t = power_neg_s(n + a)
+            if derivative:
+                t = nk.mul(nk.sub(nk.to_real(0, wp), nk.ln_rational(n + a, wp), wp), t, wp)
+            head = nk.add(head, t, wp)
+    Na = N + a
+    lnNa = nk.ln_rational(Na, wp)
+    pm = power_neg_s(Na)
+    s1 = nk.sub(sr, one, wp)
+    p1ms = nk.mul(pm, nk.to_real(Na, wp), wp)
+    if not derivative:
+        acc = nk.add(nk.add(head, nk.div(p1ms, s1, wp), wp), nk.ldexp(pm, -1), wp)
+    else:
+        d1 = nk.div(nk.mul(p1ms, lnNa, wp), s1, wp)
+        d2 = nk.div(p1ms, nk.mul(s1, s1, wp), wp)
+        acc = nk.sub(nk.sub(head, d1, wp), d2, wp)
+        acc = nk.sub(acc, nk.ldexp(nk.mul(lnNa, pm, wp), -1), wp)
+    # B_2m/(2m)! P_m (N+a)^(-s-2m+1), P_m = s (s+1) ... (s+2m-2), D_m = dP_m/ds
+    P, D, fact = Fraction(s), Fraction(1), 2
+    pw = nk.mul(pm, nk.div(one, nk.to_real(Na, wp), wp), wp)
+    inv2 = nk.pow_int(nk.to_real(Na, wp), -2, wp)
+    tol = nk.ldexp(one, -wp - 4)
+    prev = None
+    for m in range(1, wp + 1):
+        coef = bernoulli_even(m) / fact
+        if not derivative:
+            term = nk.mul(nk.to_real(coef * P, wp), pw, wp)
+        else:
+            lead = nk.sub(nk.to_real(D, wp), nk.mul(nk.to_real(P, wp), lnNa, wp), wp)
+            term = nk.mul(nk.mul(nk.to_real(coef, wp), lead, wp), pw, wp)
+        acc = nk.add(acc, term, wp)
+        mag = abs(term)
+        if mag < tol:
+            return acc
+        if prev is not None and mag >= prev:
+            raise nk.NonConvergenceError(f"EM tail stalled at m={m}")
+        prev = mag
+        D = D * (s + 2 * m - 1) * (s + 2 * m) + P * (2 * s + 4 * m - 1)
+        P = P * (s + 2 * m - 1) * (s + 2 * m)
+        fact *= (2 * m + 1) * (2 * m + 2)
+        pw = nk.mul(pw, inv2, wp)
+    raise nk.NonConvergenceError("EM tail exceeded term cap")
+
+
+TAIL_A = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), Fraction(7, 3),
+          Fraction(9, 2))
+TAIL_P = tuple(q for d in (20, 30, 40, 100, 150, 300)
+               for q in (nk.bits_for_digits(d), nk.bits_for_digits(d) + 64))
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+@pytest.mark.parametrize(
+    "s", [0, -1, -2, -3, 2, 3, Fraction(-5, 2), Fraction(1, 3)], ids=str
+)
+def test_em_tails_equal_the_mpf_loop_at_p(s, derivative):
+    for p in TAIL_P:
+        for a in TAIL_A:
+            got = zg._em_zeta(Fraction(s), a, p, derivative)
+            want = _em_zeta_reference(s, a, p, derivative)
+            trivial_zero = s in (0, -1, -2, -3) and zg._zeta_at_nonpositive_integer(-s, a) == 0
+            if trivial_zero and not derivative:
+                # now exact; the loop left noise far below 2^-p
+                assert got.is_zero() and abs(as_mpf(want)) < mp.mpf(2) ** -(p + 40), (p, a)
+            else:
+                assert got.raw == want.raw, (p, a)
+
+
+def test_em_tail_at_a_large_negative_order_equals_the_mpf_loop():
+    # the differentiated tail at s = -387 runs to B_1734
+    got = zg._em_zeta(Fraction(-387), Fraction(1), 136, derivative=True)
+    assert got.raw == _em_zeta_reference(-387, 1, 136, True).raw
+
+
+LN_GAMMA_POINTS = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 1000), Fraction(97, 7),
+                   Fraction(40000), Fraction(123456), Fraction(6), Fraction(2),
+                   Fraction(1, 3), Fraction(41, 100), Fraction(3, 4))
+
+
+def test_stirling_tail_equals_the_mpf_loop_at_p():
+    rng = random.Random(20260816)
+    steps = [Fraction(rng.randrange(1, 640), 64) for _ in range(50)]
+    points = LN_GAMMA_POINTS + tuple(steps) + tuple(x + 1 for x in steps)
+    for p in (P50, P50 + 64, 2 * P50):
+        for x in points:
+            assert ln_gamma(x, p).raw == _ln_gamma_reference(x, p).raw, (x, p)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 10, 300])
+@pytest.mark.parametrize("a", [Fraction(1), Fraction(1, 2), Fraction(7, 3)], ids=str)
+def test_zeta_at_a_nonpositive_integer_is_the_exact_bernoulli_value(k, a):
+    with mp.workprec(P50 + 64):
+        want = mp.zeta(-k, mp.mpf(a.numerator) / a.denominator)
+    got = hurwitz_zeta(HurwitzQuery(-k, a), P50)
+    exact = zg._zeta_at_nonpositive_integer(k, a)
+    assert got.raw == nk.to_real(exact, P50).raw
+    assert abs(mp.mpf(exact.numerator) / exact.denominator - want) <= abs(want) * mp.mpf(2) ** -P50
+
+
+@pytest.mark.parametrize("expr", ["zeta(-2)", "hzeta(-2, 1/2)", "zeta(-386)"])
+def test_a_trivial_zero_prints_as_an_exact_zero(expr):
+    run = run_bounded(cli_snippet("eval", expr, "--digits", "12"), budget_s=30)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "0.00000000000"
 
 
 # ---------------------------------------------------------------------------
