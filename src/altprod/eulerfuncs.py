@@ -78,7 +78,7 @@ def _t_minus_log1p(num: int, den: int, wp: int) -> Real:
     return nk.sub(nk.to_real(t, w), nk.ln_rational(1 + t, w), w)
 
 
-def _weighted_t_sum(t_at, weight, n: int, p: int, vectors, den: int) -> list:
+def _weighted_t_sum(t_at, weight, n: int, p: int, vectors, den: int, logs=None) -> list:
     """One Real per integer vector (w_0 .. w_J) over the nodes m = n - J ..
     n: sum_i w_i weight(m) (t - ln(1 + t)) / den, t = num/den_m for the
     integer pair (num, den_m) = t_at(m), den_m > 0, not necessarily in lowest
@@ -88,9 +88,10 @@ def _weighted_t_sum(t_at, weight, n: int, p: int, vectors, den: int) -> list:
     c = w_i weight(m), is collected as one integer coefficient per distinct
     integer, each split into primes once, so it is one exact exponent
     vector; its rational part is summed in fixed point, each term floored.
-    One table of this call's own evaluates every vector with its rational
-    part as the terms of one ``log_sum`` request over den, each rounded
-    once, with an absolute error below 2^-(p+31) before that rounding.
+    One table, ``logs`` or else one of this call's own, evaluates every
+    vector with its rational part as the terms of one ``log_sum`` request
+    over den, each rounded once, with an absolute error below 2^-(p+31)
+    before that rounding.
 
     At the first node |t| > 2^-k, k = bitlen(den_m) - bitlen(|num|) + 1, so
     its term, with weight >= 1, exceeds min(2^-(2k+3), 1/4).  Where that is
@@ -103,7 +104,7 @@ def _weighted_t_sum(t_at, weight, n: int, p: int, vectors, den: int) -> list:
     nodes = [(weight(m), *t_at(m)) for m in range(n - count + 1, n + 1)]
     _, num0, den0 = nodes[0]
     boost = max(0, 2 * (den0.bit_length() - abs(num0).bit_length() + 1) - 12)
-    logs = nk.PrimeLogTable()
+    logs = nk.PrimeLogTable() if logs is None else logs
     terms = []
     for ws in vectors:
         rational = 0  # in units of 2^-scale, each term floored
@@ -123,7 +124,9 @@ def _directed_check(combine, n0: int, wp: int, total: Real, terms: int):
     """Free consistency check at z = -1: the paired direct partial sum, the
     sum of ``combine``'s +-1 vector over n0 .. n0 + terms - 1, must sit
     within the first omitted term, its one-node case at n = n0 + terms, of
-    the accelerated total."""
+    the accelerated total.  The caller may bind ``combine`` to a table of
+    the check's own, which the bound then takes with the sum's sieve and
+    atom logs already made."""
     w = wp // 2 + 32
     acc = combine(n0 + terms - 1, w, ([1 - 2 * (i % 2) for i in range(terms)],), 1)[0]
     bound = abs(combine(n0 + terms, w, ((1,),), 1)[0])
@@ -188,7 +191,8 @@ def _z_series(what: str, z, p: int, target_digits: int, n0: int, t_at,
         gen = SequenceGen(term_at=lambda n, w: combine(n, w, ((1,),), 1)[0], n0=n0,
                           kind=ALTERNATING_TERMS, combine=combine)
         total = alternating_sum(gen, stop_bits).value.at(wp)
-        _directed_check(combine, n0, wp, total, check_terms)
+        # the check's two requests share one table, kept apart from the value's
+        _directed_check(partial(combine, logs=nk.PrimeLogTable()), n0, wp, total, check_terms)
         return total.at(p)
     value = _direct_power_sum(t_at, n0, zf, weight, wp, stop_bits, what)
     return value.at(p)

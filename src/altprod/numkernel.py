@@ -443,7 +443,9 @@ def _round_fixed(value: int, err: int, bucket: int):
 
 class _FixedLogs(dict):
     """atom q -> round(ln q, F bits) * 2^F for one bucket F: the integer
-    man << (exp + F) of ``ln_rational(q, F)``, taken on first lookup.
+    man << (exp + F) of ``ln_rational(q, F)``, made by ``fill`` for all the
+    atoms of a request at once; a lookup of an atom not yet held fills it
+    alone.
 
     A prime below the sieve cap is first derived in integer fixed point at
     W = F + 32 bits from smaller primes, and ``_round_fixed`` rounds that
@@ -489,48 +491,81 @@ class _FixedLogs(dict):
         self._wide = {}  # prime q -> (V, E)
 
     def __missing__(self, q: int) -> int:
-        fixed = None
-        if 2 <= q < _SIEVE_CAP:
-            _cover(self._spf, q)
-            fixed = _round_fixed(*self._wide_log(q), self.bucket)
-        if fixed is None:
-            # ln q > 1/2 at F bits has an exponent >= -F
-            _, man, exp, _ = ln_rational(q, self.bucket).raw
-            fixed = man << (exp + self.bucket)
-        self[q] = fixed
-        return fixed
+        self.fill((q,))
+        return self[q]
 
-    def _wide_log(self, *xs: int):
-        """(V, E) of the product of the integers xs, each 1 <= x < 2^16 and
-        held by the sieve: the sums over their primes."""
+    def fill(self, atoms) -> None:
+        """Make the entry of each atom x >= 1 of ``atoms`` not yet held.
+
+        The primes that these entries need and that have no wide value yet
+        are collected first: those of the atoms below the sieve cap and, for
+        each such prime q >= 64, those of q - 1 and q + 1.  Then one loop
+        takes their wide values in increasing order, so each prime finds
+        its children's values made, and each atom's entry is rounded from
+        the sum over its primes."""
+        missing = {x for x in atoms if x not in self}
+        small = [x for x in missing if 2 <= x < _SIEVE_CAP]
         spf, wide = self._spf, self._wide
-        value = err = 0
-        for x in xs:
-            while x > 1:
-                q = spf[x]
-                x //= q
-                entry = wide.get(q)
-                if entry is None:
-                    entry = wide[q] = self._prime_wide_log(q)
-                value += entry[0]
-                err += entry[1]
-        return value, err
-
-    def _prime_wide_log(self, q: int):
-        w = self.bucket + _WIDE_BITS
-        if q < _ANCHOR:
-            _, man, exp, _ = ln_rational(q, w).raw
-            return man << (exp + w), q.bit_length() << GUARD_BITS
-        _cover(self._spf, q + 1)
-        logs, err = self._wide_log(q - 1, q + 1)
-        m = 2 * q * q - 1
-        power = series = (1 << w) // m
-        k = 1
-        while power:
-            power = power // m // m  # floor(power / m^2); m alone divides faster
-            k += 2
-            series += power // k
-        return (logs >> 1) + series, (err >> 1) + k // 2 + 3
+        if small:
+            # the sieve is read only at the atoms and at the odd parts of q - 1
+            # and q + 1, which are below q
+            _cover(spf, max(small))
+            need, todo = set(), small
+            while todo:
+                x = todo.pop()
+                while x > 1:
+                    q = spf[x]
+                    x //= q
+                    if q not in need and q not in wide:
+                        need.add(q)
+                        if q >= _ANCHOR:  # 2 and the odd parts of q - 1 and q + 1
+                            a, b = q - 1, q + 1
+                            todo += (2, a // (a & -a), b // (b & -b))
+            w = self.bucket + _WIDE_BITS
+            for q in sorted(need):
+                if q < _ANCHOR:
+                    _, man, exp, _ = ln_rational(q, w).raw
+                    wide[q] = (man << (exp + w), q.bit_length() << GUARD_BITS)
+                    continue
+                # (q - 1)(q + 1) = 2^t a b with a and b odd: the t logs of 2
+                # add as one product
+                a, b = q - 1, q + 1
+                a2, b2 = a & -a, b & -b
+                t = (a2 * b2).bit_length() - 1
+                value, err = wide[2]
+                value, err = t * value, t * err
+                for x in (a // a2, b // b2):
+                    while x > 1:
+                        r = spf[x]
+                        x //= r
+                        v, e = wide[r]
+                        value += v
+                        err += e
+                m = 2 * q * q - 1
+                power = series = (1 << w) // m
+                k = 1
+                while power:
+                    power = power // m // m  # floor(power / m^2); m alone divides faster
+                    k += 2
+                    series += power // k
+                wide[q] = ((value >> 1) + series, (err >> 1) + k // 2 + 3)
+        for x in missing:
+            fixed = None
+            if 2 <= x < _SIEVE_CAP:
+                value = err = 0
+                y = x
+                while y > 1:
+                    r = spf[y]
+                    y //= r
+                    v, e = wide[r]
+                    value += v
+                    err += e
+                fixed = _round_fixed(value, err, self.bucket)
+            if fixed is None:
+                # ln x > 1/2 at F bits has an exponent >= -F
+                _, man, exp, _ = ln_rational(x, self.bucket).raw
+                fixed = man << (exp + self.bucket)
+            self[x] = fixed
 
 
 class PrimeLogTable:
@@ -554,7 +589,8 @@ class PrimeLogTable:
     extrapolation to the limit, is evaluated: the vectors carry the integer
     numerators, and F is sized for the combination, not for its parts.
     Each atom log equals ``ln_rational``'s bit for bit; below the sieve cap
-    it comes from smaller primes' logs by the recurrence of ``_FixedLogs``.
+    it comes from smaller primes' logs by the recurrence of ``_FixedLogs``,
+    whose ``fill`` makes all the logs a request lacks in one ascending pass.
 
     The sieve, its list of primes and the log cache belong to one table; a
     table serves one evaluation run and is not shared across threads.
@@ -592,9 +628,60 @@ class PrimeLogTable:
             counts[q] = counts.get(q, 0) + m
 
     def add_all(self, counts: dict, changes) -> None:
-        """``add`` for each (integer x >= 1, m) of ``changes``, such as a
-        dict's items: the integers below the sieve cap split in one loop."""
+        """``add`` for each (integer x >= 1, m) of ``changes``, a sized
+        collection such as a dict's items, which is iterated twice: the
+        integers below the sieve cap split in one loop.
+
+        A dense batch, whose largest integer top is below the sieve cap
+        and at most 2 len(changes), splits in sieve order instead: each
+        change goes into a list indexed by integer, and from top down each
+        composite passes its total on to its smallest prime factor and
+        their cofactor, which are smaller, so every integer below top is
+        split once however many changes reach it.  On x86-64 under CPython
+        3.11 the per-integer loop costs about 0.07 us per change plus
+        0.13 us per prime factor, 3.3 of them on average below 2^16, so
+        0.5 us per change; the sieve-order loop costs 0.05 us per integer
+        up to top plus 0.13 us per composite it passes on, at most 0.17 us
+        per integer.  It is the cheaper one from top < 3 len(changes) on;
+        the rule keeps a third of that for the list and the timings' spread.
+        Both loops leave the same counts: a total that cancels to zero on
+        the way still enters the primes of its integer, with 0 added, as
+        the per-integer loop would."""
         spf, get = self._spf, counts.get
+        top = max(changes, default=(0, 0))[0]
+        if top < _SIEVE_CAP and top <= 2 * len(changes):
+            _cover(spf, top)
+            dense = [0] * (top + 1)
+            zeros = []  # integers whose total cancelled to zero
+            for x, m in changes:
+                if m:
+                    total = dense[x] + m
+                    dense[x] = total
+                    if not total:
+                        zeros.append(x)
+            for x in range(top, 1, -1):
+                m = dense[x]
+                if m:
+                    q = spf[x]
+                    if q == x:
+                        counts[q] = get(q, 0) + m
+                        continue
+                    # unrolled over q and the cofactor r: a loop over the pair is slower
+                    r = x // q
+                    total = dense[q] + m
+                    dense[q] = total
+                    if not total:
+                        zeros.append(q)
+                    total = dense[r] + m
+                    dense[r] = total
+                    if not total:
+                        zeros.append(r)
+            for x in zeros:
+                while x > 1:
+                    q = spf[x]
+                    x //= q
+                    counts[q] = get(q, 0)
+            return
         size = len(spf)
         for x, m in changes:
             if not m:
@@ -638,6 +725,7 @@ class PrimeLogTable:
         bound = max(sum(abs(c) * q.bit_length() for counts in vectors for q, c in counts.items())
                     for vectors, _ in terms)
         logs = self.fixed_logs(p, -(-bound // den))
+        logs.fill(q for vectors, _ in terms for counts in vectors for q, c in counts.items() if c)
         f = logs.bucket
         values = []
         for vectors, offset in terms:

@@ -340,6 +340,22 @@ def test_directed_check_refuses_a_total_off_by_more_than_the_first_omitted_term(
                     ef._directed_check(*args)
 
 
+def test_the_directed_checks_shared_table_leaves_each_request_its_bits():
+    # _z_series binds the check's combine to one table for both of its
+    # requests; each value is still the one a fresh table gives
+    alpha, wp, terms = Fraction(1, 2), 240, 2048
+    w = wp // 2 + 32
+
+    def t_at(n):
+        return alpha.numerator, alpha.denominator * n
+
+    combine = partial(ef._weighted_t_sum, t_at, lambda n: n - 1)
+    shared = partial(combine, logs=nk.PrimeLogTable())
+    for args in ((2 + terms - 1, w, ([(-1) ** i for i in range(terms)],), 1),
+                 (2 + terms, w, ((1,),), 1)):
+        assert shared(*args)[0].raw == combine(*args)[0].raw
+
+
 @pytest.mark.parametrize("alpha", [Fraction(1, 10**30), Fraction(-1, 10**12), Fraction(1, 10**6)])
 def test_series_of_tiny_terms_keep_their_relative_precision(alpha):
     # the weighted sums have an absolute error bound, scaled to the first
@@ -527,15 +543,16 @@ def test_a_faulty_prime_log_table_fails_both_check_routes(monkeypatch):
     q = LerchDerivQuery(-2, 1)
     glaisher_check = cst._ln_glaisher_zeta2(p)
     lerch_check = ef._phi_sderiv_series(q, nk.bits_for_digits(25, guard=24))
-    fixed_log = nk._FixedLogs.__missing__
+    fill = nk._FixedLogs.fill
 
-    def off_by_2_to_minus_40(logs, atom):
-        value = fixed_log(logs, atom)
-        if atom == 3:
-            value = logs[atom] = value + (1 << (logs.bucket - 40))
-        return value
+    def off_by_2_to_minus_40(logs, atoms):
+        # fill makes every atom entry; the fault enters the one for 3
+        fresh = 3 not in logs
+        fill(logs, atoms)
+        if fresh and 3 in logs:
+            logs[3] += 1 << (logs.bucket - 40)
 
-    monkeypatch.setattr(nk._FixedLogs, "__missing__", off_by_2_to_minus_40)
+    monkeypatch.setattr(nk._FixedLogs, "fill", off_by_2_to_minus_40)
     monkeypatch.setattr(cst, "_memo", {})
     assert cst._ln_glaisher_zeta2(p).raw == glaisher_check.raw
     assert ef._phi_sderiv_series(q, nk.bits_for_digits(25, guard=24)).raw == lerch_check.raw
@@ -552,15 +569,16 @@ def test_a_faulty_prime_log_table_fails_dgamma_one(monkeypatch):
     # dual-route gate refuses the right-hand side's constant as well
     monkeypatch.setattr(cst, "_memo", {})
     assert hz.verify("DGAMMA_ONE", 30).passed
-    fixed_log = nk._FixedLogs.__missing__
+    fill = nk._FixedLogs.fill
 
-    def off_by_2_to_minus_40(logs, atom):
-        value = fixed_log(logs, atom)
-        if atom == 3:
-            value = logs[atom] = value + (1 << (logs.bucket - 40))
-        return value
+    def off_by_2_to_minus_40(logs, atoms):
+        # fill makes every atom entry; the fault enters the one for 3
+        fresh = 3 not in logs
+        fill(logs, atoms)
+        if fresh and 3 in logs:
+            logs[3] += 1 << (logs.bucket - 40)
 
-    monkeypatch.setattr(nk._FixedLogs, "__missing__", off_by_2_to_minus_40)
+    monkeypatch.setattr(nk._FixedLogs, "fill", off_by_2_to_minus_40)
     assert hz.verify("DGAMMA_ONE", 30).passed is False
     monkeypatch.setattr(cst, "_memo", {})
     assert hz.verify("DGAMMA_ONE", 30).passed is False

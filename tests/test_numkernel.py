@@ -440,6 +440,35 @@ def test_a_batch_split_is_the_split_of_each_integer(changes, start):
     assert batch._spf == single._spf
 
 
+@given(
+    top=st.one_of(st.integers(1, 3000),
+                  st.sampled_from([(1 << 16) - 1, 1 << 16, (1 << 16) + 1])),
+    stride=st.sampled_from([1, 2, 3, 7]),
+    repeats=st.integers(0, 40),
+    held=st.dictionaries(st.sampled_from([2, 3, 5, 7, 65521, 65537]), st.integers(-3, 3),
+                         max_size=4),
+    rnd=st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_dense_batch_splits_as_the_per_integer_loop(top, stride, repeats, held, rnd):
+    # every stride-th integer from top down, with changes in -2 .. 2: strides
+    # 1 and 2 make the batch dense below 2^16 (top <= 2 len), 3 and 7 sparse.
+    # Repeated integers, some with the change negated, cancel totals on the
+    # way, and counts starts with entries of its own
+    changes = [(x, rnd.randint(-2, 2)) for x in range(top, 0, -stride)]
+    for x, m in rnd.sample(changes, min(repeats, len(changes))):
+        changes.append((x, rnd.choice([-m, m, 1])))
+    if stride <= 2:
+        assert top <= 2 * len(changes)
+    got, want = dict(held), dict(held)
+    nk.PrimeLogTable().add_all(got, changes)
+    single = nk.PrimeLogTable()
+    for x, m in changes:
+        if m:
+            single.add(want, x, m)
+    assert got == want
+
+
 @given(x=st.integers(1, 1 << 40), m=st.integers(-3, 3).filter(bool))
 @settings(max_examples=200, deadline=None)
 def test_prime_log_table_counts_multiply_back(x, m):
@@ -612,6 +641,8 @@ def test_every_sieve_prime_log_equals_ln_rational(monkeypatch, bucket):
     monkeypatch.undo()
     assert got == {q: _ln_rational_fixed(q, bucket) for q in SIEVE_PRIMES}
     assert derived < 30  # the other 6,500 come from the recurrence
+    # the bound the _FixedLogs docstring states: 6,960 units at most, at 1024
+    assert max(err for _, err in logs._wide.values()) < 7000
 
 
 @given(
@@ -630,6 +661,34 @@ def test_atom_logs_do_not_depend_on_the_request_order(primes, bucket, order):
     for q in primes:
         assert got[q] == _fixed_logs_at(nk.PrimeLogTable(), bucket)[q]
         assert got[q] == _ln_rational_fixed(q, bucket)
+
+
+def _chain(q):
+    """The primes whose wide values the entry of the prime q needs: q, and
+    from 64 on those that the primes of q - 1 and q + 1 need."""
+    primes = {q}
+    if q >= 64:
+        for x in (q - 1, q + 1):
+            primes |= set().union(*(_chain(r) for r in range(2, x + 1)
+                                    if x % r == 0 and isprime(r)))
+    return primes
+
+
+@pytest.mark.parametrize("counts", [{101: 1}, {65521: -3}])
+@pytest.mark.parametrize("p", [100, 300])
+def test_a_sparse_request_fills_the_primes_its_atoms_need(counts, p):
+    # 101 needs 2, 3, 5 and 17, anchors all; 65521 needs 181 through
+    # 65522 = 2 181^2, and 181 needs 7 and 13 through 180 and 182
+    table = nk.PrimeLogTable()
+    (got,) = table.log_sum(p, [([counts], 0)])
+    (logs,) = table._fixed_logs.values()
+    ((q, c),) = counts.items()
+    want = _ln_rational_fixed(q, logs.bucket)
+    assert dict(logs) == {q: want}
+    assert set(logs._wide) == _chain(q)
+    assert got.raw == nk.to_real(Fraction(c * want, 1 << logs.bucket), p).raw
+    for r in logs._wide:
+        assert logs[r] == _ln_rational_fixed(r, logs.bucket)
 
 
 def test_a_wide_log_on_a_rounding_boundary_falls_back_to_ln_rational(monkeypatch):
