@@ -9,18 +9,17 @@ table and the zeta/gamma kernel. The vocabulary of a right-hand side is
 closed: six named constants, eight functions, no variables.
 
 The fields of a product spec are written in the same grammar, as exact
-rational functions of one integer variable: `compile_field` binds that
-variable, admits no other name, and compiles the tree once into a function
-from an int to a `Fraction`; `compile_exact` gives the same function without
-the `Fraction` wrapper, or the value itself when the tree does not use the
-variable, and `compile_powers` gives the field's log form, its integer
-powers as (integer, exponent) pairs.  The compiled form keeps integral
-values as ints, tests the parity of the exponent of (+-1)^<expr>, and
-raises an expression to a constant power directly.  `compile_column` and
-`compile_power_columns` are the column forms of `compile_exact` and
-`compile_powers`: they map a list of the variable's values to the list of
-results with one list operation per tree node, which is how a product walk
-evaluates thousands of factors at once.
+rational functions of one integer variable.  Each field has two compiled
+forms.  `compile_field` binds the variable, admits no other name, and
+compiles the tree once into a function from an int to a `Fraction`: the
+exact scalar form, the reference that names a failing value.
+`compile_column` is the column form: it maps a list of the variable's values
+to the list of exact values with one list operation per tree node, which is
+how a product walk evaluates thousands of factors at once; it tests the
+parity of the exponent of (+-1)^<expr> and raises a column to a constant
+power directly.  `compile_power_columns` is the column form of a field's
+log form, its integer powers as (integers, exponent) pairs, so that a power
+is never built.
 """
 
 import dataclasses
@@ -555,24 +554,6 @@ def _exact_pow(a, e):
     return Fraction(a) ** e
 
 
-def _sign_pow(a: int, f):
-    """`a^f(x)` for a constant a = +-1: a parity test, with `_exact_pow`'s
-    value (as an int) and its refusal of a non-integral exponent."""
-    return lambda x: a if _integral(f(x)) & 1 else 1
-
-
-def _const_pow(f, e: int):
-    """`f(x)^e` for a constant integer e >= 0, with `_exact_pow`'s value and
-    its size cap."""
-
-    def power(x):
-        a = f(x)
-        _check_power_size(a, e)
-        return a ** e
-
-    return power
-
-
 _EXACT_OPS = {
     "add": operator.add,
     "sub": operator.sub,
@@ -599,12 +580,8 @@ def _compile(node: Node):
         if not callable(a):
             v = op(a, b)
             return v.numerator if v.denominator == 1 else v
-        if node.op == "pow" and b >= 0:
-            return _const_pow(a, b)
         return lambda x: op(a(x), b)
     if not callable(a):
-        if node.op == "pow" and a in (1, -1):
-            return _sign_pow(a, b)
         return lambda x: op(a, b(x))
     return lambda x: op(a(x), b(x))
 
@@ -644,63 +621,14 @@ def compile_field(text: str, var: str) -> Tuple[ConstExpr, Callable[[int], Fract
     return expr, run
 
 
-def compile_exact(expr: ConstExpr):
-    """The bare compiled form of a tree from `compile_field`: its exact
-    value when the tree does not use the variable, otherwise a function from
-    the variable's value to the exact value, an int or a Fraction."""
-    return _compile(expr.root)
-
-
-def _integer_pairs(v, sign: int) -> list:
-    if v.denominator == 1:
-        return [(v.numerator, sign)]
-    return [(v.numerator, sign), (v.denominator, -sign)]
-
-
-def _compile_powers(node: Node, sign: int) -> Callable[[int], list]:
-    # `sign` is the power the enclosing quotients raise this subtree to
-    if isinstance(node, Binary) and node.op in ("mul", "div"):
-        a = _compile_powers(node.left, sign)
-        b = _compile_powers(node.right, sign if node.op == "mul" else -sign)
-        return lambda x: a(x) + b(x)
-    if isinstance(node, Binary) and node.op == "pow":
-        a, e = _compile_powers(node.left, sign), _compile(node.right)
-
-        def power(x):
-            k = e(x) if callable(e) else e
-            if k.denominator != 1:
-                raise SpecError("exponent in ^ must be an integer")
-            return [(v, m * k.numerator) for v, m in a(x)]
-
-        return power
-    f = _compile(node)
-    if not callable(f):
-        pairs = _integer_pairs(f, sign)
-        return lambda x: pairs
-    return lambda x: _integer_pairs(f(x), sign)
-
-
-def compile_powers(expr: ConstExpr) -> Callable[[int], list]:
-    """The log form of a tree from `compile_field`: a function from the
-    variable's value to (integer, exponent) pairs whose product of powers is
-    the field's value.
-
-    Products, quotients and integer powers become pairs with exact integer
-    exponents, so a power is never built; every other subtree is evaluated
-    exactly and split into its numerator and denominator.  An integer may be
-    zero or negative; the caller decides what that means.
-    """
-    return _compile_powers(expr.root, 1)
-
-
 # ---------------------------------------------------------------------------
 # column form of the exact compiler
 #
 # A column kernel maps a non-empty list of the variable's values to the list
 # of the field's exact values, one operation per node for the whole list
 # instead of one closure call per node and value.  Each element equals what
-# the compiled form gives for that value.  The kernel raises where the
-# compiled form raises on some element, with an error the compiled form
+# `compile_field` gives for that value.  The kernel raises where
+# `compile_field` raises on some element, with an error `compile_field`
 # raises on one of those elements; which one is not promised, so a caller
 # that must name the first failing value evaluates value by value.
 
@@ -740,12 +668,14 @@ def _integral_column(es) -> list:
 
 
 def _pow_column(a, b) -> list:
-    """`_exact_pow` over columns, with the fast forms `_compile` picks."""
+    """`_exact_pow` over columns, with two fast forms: a constant power is
+    raised directly behind one size check, and (+-1)^<column> is a parity
+    test."""
     if type(b) is not list:
         e = _integral(b)
         if e < 0:
             return [_exact_pow(x, e) for x in a]
-        if e:  # `_const_pow`: the cap holds for every element if for the largest
+        if e:  # the cap holds for every element if for the largest
             if _all_ints(a):
                 _check_power_size(max(max(a), -min(a)), e)
             else:
@@ -754,7 +684,7 @@ def _pow_column(a, b) -> list:
         return [x ** e for x in a]
     if type(a) is list:
         return list(map(_exact_pow, a, b))
-    if a in (1, -1):  # `_sign_pow`: a parity test
+    if a in (1, -1):
         signs = (1, a)
         return [signs[e & 1] for e in _integral_column(b)]
     return [_exact_pow(a, e) for e in b]
@@ -783,10 +713,10 @@ def _compile_column(node: Node):
 
 
 def compile_column(expr: ConstExpr):
-    """The column form of `compile_exact`: the tree's exact value when it
-    does not use the variable, otherwise a function from a non-empty list of
-    the variable's int values to the list of exact values, ints or
-    Fractions, each equal to what `compile_exact` gives for that value."""
+    """The column form of a tree from `compile_field`: its exact value when
+    it does not use the variable, otherwise a function from a non-empty list
+    of the variable's int values to the list of exact values, ints or
+    Fractions, each equal to what `compile_field` gives for that value."""
     return _compile_column(expr.root)
 
 
@@ -798,7 +728,7 @@ def _scaled(m, k):
 
 
 def _compile_power_columns(node: Node, sign: int):
-    # `_compile_powers` over columns; `sign` as there
+    # `sign` is the power the enclosing quotients raise this subtree to
     if isinstance(node, Binary) and node.op in ("mul", "div"):
         a = _compile_power_columns(node.left, sign)
         b = _compile_power_columns(node.right, sign if node.op == "mul" else -sign)
@@ -814,7 +744,9 @@ def _compile_power_columns(node: Node, sign: int):
         return power
     f = _compile_column(node)
     if not callable(f):
-        pairs = _integer_pairs(f, sign)
+        pairs = [(f.numerator, sign)]
+        if f.denominator != 1:
+            pairs.append((f.denominator, -sign))
         return lambda xs: pairs
 
     def split(xs):
@@ -827,15 +759,21 @@ def _compile_power_columns(node: Node, sign: int):
 
 
 def compile_power_columns(expr: ConstExpr) -> Callable[[list], list]:
-    """The column form of `compile_powers`: a function from a non-empty list
-    of the variable's int values to (integers, exponent) pairs.  Each part
-    is a list with one entry per value, or one int that holds for every
-    value.  At the i-th value, the pairs' i-th entries are `compile_powers`'
-    pairs there, apart from pairs of the integer 1: a subtree whose column
-    holds both ints and Fractions is split into a numerator and a
-    denominator column, so an int's denominator enters as 1.  Errors are
-    those of `compile_column`, and an integer may be zero or negative there
-    too."""
+    """The log form of a tree from `compile_field`, in column form: a
+    function from a non-empty list of the variable's int values to
+    (integers, exponent) pairs.  Each part is a list with one entry per
+    value, or one int that holds for every value, and at the i-th value the
+    pairs' i-th entries multiply, as powers, to the field's value there.
+
+    Products, quotients and integer powers become pairs with exact integer
+    exponents, so a power is never built; every other subtree is evaluated
+    exactly and split into its numerator and denominator (an int's
+    denominator enters as 1 where its column also holds Fractions).  The
+    function raises only where `compile_field` raises on some value, with
+    an error of `compile_column` on a subtree; since it builds no power and
+    divides by nothing, it may return where `compile_field` raises, with an
+    integer that is zero.  An integer may be zero or negative; the caller
+    decides what that means."""
     return _compile_power_columns(expr.root, 1)
 
 

@@ -6,8 +6,10 @@ carrying a (-1)^k alternation), a per-factor rational power of e, a strictly
 increasing truncation map from sequence index n to the last included k, and
 an optional per-index closing factor ("bridge") of the form
 base(n)^power(n) * e^epower(n) that is replaced, not accumulated, as n grows.
-Every field is an `exprlang` expression in k or n, compiled once to an exact
-rational function.
+Every field is an `exprlang` expression in k or n, compiled once to two
+forms: the exact scalar form (exprlang.compile_field), which the exact
+oracle and the evaluation methods use and which names the field and the
+index of an error, and the column form, which the walk uses.
 
 Partial products are available in two forms: exactly, as a rational number
 times a rational power of e (the brute-force oracle, which multiplies
@@ -16,7 +18,8 @@ takes a log per factor and builds no factor as a `Fraction`: each factor's
 log form, its integers with exact integer exponents, adds m_k times those
 exponents to a count per integer; the factors are evaluated a chunk at a
 time by the fields' column kernels (see exprlang.compile_column), one list
-operation per tree node.  Each integer touched since the last request is
+operation per tree node, and the bridges of a request's nodes at once.
+Each integer touched since the last request is
 split into primes once, and the log partial is the prime log table's
 ``log_sum`` of the prime exponents, rounded once.  Limits are
 delegated to the sequence-acceleration module on the log-partial sequence,
@@ -106,10 +109,6 @@ def _compile_tree(text: str, var: str, *, alternation=False, var_base=False, wha
     return tree, fn
 
 
-def _compile(text: str, var: str, *, alternation=False, what: str):
-    return _compile_tree(text, var, alternation=alternation, what=what)[1]
-
-
 # -- domain types --------------------------------------------------------------
 
 
@@ -121,9 +120,7 @@ class ExactPartial:
     e_power: Fraction
 
 
-_Field = Callable[[int], Fraction]
-_Pairs = Callable[[int], list]  # a field's log form (see exprlang.compile_powers)
-_Exact = Callable[[int], Union[int, Fraction]]  # see exprlang.compile_exact
+_Field = Callable[[int], Fraction]  # a field's exact scalar form (see exprlang.compile_field)
 _Column = Callable[[list], list]  # see exprlang.compile_column and compile_power_columns
 
 
@@ -131,58 +128,45 @@ _Column = Callable[[list], list]  # see exprlang.compile_column and compile_powe
 class BridgedProductSpec:
     """One alternating product, compiled from its key-value description.
 
-    The k-indexed fields (factor, exponent, e_exponent) and the n-indexed
-    fields (upper_index, bridge) are exposed as evaluation methods over the
-    compiled expressions; ``factor_log`` and ``bridge_log`` give the factor
-    and the bridge in log form, without building their exact values.
-    ``factor_columns`` gives the factor's log form, the exponent and the
-    e-exponent of a whole run of k at once, from column kernels.
+    Every field has two compiled forms.  The exact scalar form is the
+    reference: the k-indexed fields (factor, exponent, e_exponent) and the
+    n-indexed fields (upper_index, bridge) are exposed as evaluation methods
+    over it, and an error they raise names the spec, the field and the
+    index.  The column form is what a walk evaluates: ``factor_columns``
+    gives the factor's log form, the exponent and the e-exponent of a whole
+    run of k at once, and ``bridge_logs`` the bridges of a run of n, both
+    without building a power.
     """
 
     name: str
     k_start: int
     _factor: _Field = field(repr=False)
-    # the two exponents are values where they do not depend on k
-    _exponent: Union[int, Fraction, _Exact] = field(repr=False)
-    _e_exponent: Union[Fraction, _Exact] = field(repr=False)
+    _exponent: _Field = field(repr=False)
+    _e_exponent: _Field = field(repr=False)
     # column kernels of the factor's log form, the exponent and the
     # e-exponent; the exponents are values where they do not depend on k
-    _columns: Tuple[_Column, Union[int, Fraction, _Column], Union[Fraction, _Column]] = field(
+    _columns: Tuple[_Column, Union[int, Fraction, _Column], Union[int, Fraction, _Column]] = field(
         repr=False
     )
     _upper: _Field = field(repr=False)
-    # base, power, e-power, and the base's log form (see exprlang.compile_powers)
-    _bridge: Optional[Tuple[_Field, _Field, _Field, _Pairs]] = field(
+    # base, power, e-power, and the base's log form in column form
+    _bridge: Optional[Tuple[_Field, _Field, _Field, _Column]] = field(
         repr=False, default=None
     )
 
+    def _at(self, fn, what: str, var: str, x: int):
+        """fn(x), a compiled field at one index, with any error it raises
+        prefixed by the spec, the field and the index."""
+        try:
+            return fn(x)
+        except (SpecError, OracleRangeError) as err:
+            raise type(err)(f"{self.name}: {what} at {var}={x}: {err}") from None
+
     def factor(self, k: int) -> Fraction:
-        f = self._factor(k)
+        f = self._at(self._factor, "factor", "k", k)
         if f.numerator <= 0:
             raise DomainError(f"{self.name}: factor at k={k} is not positive ({f})")
         return f
-
-    def factor_log(self, k: int) -> list:
-        """f(k) without its exact value: (integer, exponent) pairs whose
-        product of powers is f(k), every integer positive; the one-k column
-        of the factor's log form.
-
-        Where the pairs hold an integer <= 0, or cannot be evaluated, f(k)
-        itself is evaluated: it raises what ``factor`` raises, or is
-        positive, and the integers are taken in absolute value.
-        """
-        try:
-            columns = self._columns[0]([k])
-        except (SpecError, DomainError, OracleRangeError):
-            self.factor(k)  # the error that evaluating f(k) meets first
-            raise
-        pairs = [(v if type(v) is int else v[0], m if type(m) is int else m[0])
-                 for v, m in columns]
-        for v, _ in pairs:
-            if v <= 0:
-                self.factor(k)
-                return [(abs(v), m) for v, m in pairs]
-        return pairs
 
     def factor_columns(self, ks: list) -> Optional[Tuple[list, list, Optional[list]]]:
         """The factors at the ks, a non-empty list, in column form: the log
@@ -194,15 +178,27 @@ class BridgedProductSpec:
         Negative integers are taken in absolute value where every factor
         stays positive: no integer is 0 and, at each k, an even number of
         negative integers carry an odd exponent.  Returns None where a
-        column raises, that fails, or an exponent is not an int:
-        ``factor_log``, ``exponent`` and ``e_exponent``, k by k, then tell
-        which k fails and how.
+        column raises, that fails, or an exponent is not an int; a walk
+        then takes the ks one at a time (``_factor_at``).
         """
-        pairs_at, exponent_at, e_at = self._columns
+        _, exponent_at, e_at = self._columns
+        pairs = self._positive_pairs(ks)
+        if pairs is None:
+            return None
         try:
-            pairs = pairs_at(ks)
             ms = exponent_at(ks) if callable(exponent_at) else [exponent_at] * len(ks)
             es = e_at(ks) if callable(e_at) else None
+        except (SpecError, DomainError, OracleRangeError):
+            return None
+        if not all(map(isinstance, ms, repeat(int))):
+            return None
+        return pairs, ms, es
+
+    def _positive_pairs(self, ks: list) -> Optional[list]:
+        """The factor's log-form columns at the ks with every integer
+        positive, or None (see ``factor_columns``)."""
+        try:
+            pairs = self._columns[0](ks)
         except (SpecError, DomainError, OracleRangeError):
             return None
         odd = None  # per k, the parity of the negative integers with odd exponents
@@ -221,60 +217,86 @@ class BridgedProductSpec:
             pairs[i] = (abs(v) if type(v) is int else list(map(abs, v)), c)
         if odd is not None and any(odd):
             return None
-        if not all(map(isinstance, ms, repeat(int))):
-            return None
-        return pairs, ms, es
+        return pairs
+
+    def _factor_at(self, k: int) -> Tuple[list, list, Optional[list]]:
+        """``factor_columns([k])`` for a k whose chunk the columns refuse,
+        from the scalar forms: the log form where its integers at k are
+        positive, otherwise the exact factor's numerator and denominator,
+        then the exponent and the e-exponent.  So the first of them that
+        refuses k raises, in that order, with what the scalar form raises.
+        """
+        pairs = self._positive_pairs([k])
+        if pairs is None:
+            f = self.factor(k)
+            pairs = [(f.numerator, 1), (f.denominator, -1)]
+        es = [self.e_exponent(k)] if callable(self._columns[2]) else None
+        return pairs, [self.exponent(k)], es
 
     def exponent(self, k: int) -> int:
-        e = self._exponent
-        if callable(e):
-            e = e(k)
-        if type(e) is not int:
-            if e.denominator != 1:
-                raise SpecError(f"{self.name}: exponent at k={k} is not an integer ({e})")
-            e = e.numerator
-        return e
+        e = self._at(self._exponent, "exponent", "k", k)
+        if e.denominator != 1:
+            raise SpecError(f"{self.name}: exponent at k={k} is not an integer ({e})")
+        return e.numerator
 
     def e_exponent(self, k: int) -> Fraction:
-        e = self._e_exponent
-        return Fraction(e(k)) if callable(e) else e
+        return self._at(self._e_exponent, "e_exponent", "k", k)
 
     def upper_index(self, n: int) -> int:
-        u = self._upper(n)
+        u = self._at(self._upper, "upper index", "n", n)
         if u.denominator != 1:
             raise SpecError(f"{self.name}: upper index at n={n} is not an integer")
-        return int(u)
+        return u.numerator
 
     def bridge(self, n: int) -> Optional[Tuple[Fraction, int, Fraction]]:
         if self._bridge is None:
             return None
-        base_f, power_f, epower_f, _ = self._bridge
-        base = base_f(n)
+        base = self._at(self._bridge[0], "bridge base", "n", n)
         power = self._bridge_power(n)
         if base <= 0:
             raise DomainError(f"{self.name}: bridge base at n={n} is not positive")
-        return base, power, epower_f(n)
+        return base, power, self._at(self._bridge[2], "bridge e-power", "n", n)
 
-    def bridge_log(self, n: int) -> Optional[Tuple[list, Fraction]]:
-        """The bridge without its exact power: (integer, exponent) pairs whose
-        product of powers is base(n)^power(n), every integer above 1, and the
-        e-power."""
+    def bridge_logs(self, ns: list) -> list:
+        """The bridges at the nodes ns, a non-empty list, without their exact
+        powers: per node, (integer, exponent) pairs whose product of powers
+        is base(n)^power(n), every integer above 1, and the e-power; None per
+        node without a bridge.
+
+        The base's log form is evaluated once over all of ns, in column
+        form.  An error names its n when ns holds one node; over more, which
+        node fails is not promised, so a caller that must name the first
+        asks node by node.
+        """
         if self._bridge is None:
-            return None
-        _, _, epower_f, pairs_f = self._bridge
-        pairs = pairs_f(n)
-        power = self._bridge_power(n)
-        if any(v == 0 and m < 0 for v, m in pairs):
-            raise SpecError("division by zero in expression")
-        if any(v == 0 and m for v, m in pairs) or sum(m for v, m in pairs if v < 0) % 2:
-            raise DomainError(f"{self.name}: bridge base at n={n} is not positive")
-        return [(abs(v), m * power) for v, m in pairs if m and abs(v) != 1], epower_f(n)
+            return [None] * len(ns)
+        base_at = self._bridge[3]
+        if len(ns) == 1:
+            columns = self._at(lambda n: base_at([n]), "bridge base", "n", ns[0])
+        else:
+            columns = base_at(ns)
+        logs = []
+        for i, n in enumerate(ns):
+            pairs = [(v if type(v) is int else v[i], m if type(m) is int else m[i])
+                     for v, m in columns]
+            power = self._bridge_power(n)
+            if any(v == 0 and m < 0 for v, m in pairs):
+                raise SpecError(
+                    f"{self.name}: bridge base at n={n}: division by zero in expression"
+                )
+            if any(v == 0 and m for v, m in pairs) or sum(m for v, m in pairs if v < 0) % 2:
+                raise DomainError(f"{self.name}: bridge base at n={n} is not positive")
+            logs.append((
+                [(abs(v), m * power) for v, m in pairs if m and abs(v) != 1],
+                self._at(self._bridge[2], "bridge e-power", "n", n),
+            ))
+        return logs
 
     def _bridge_power(self, n: int) -> int:
-        power = self._bridge[1](n)
+        power = self._at(self._bridge[1], "bridge power", "n", n)
         if power.denominator != 1:
             raise SpecError(f"{self.name}: bridge power at n={n} is not an integer")
-        return int(power)
+        return power.numerator
 
 
 # -- parsing -------------------------------------------------------------------
@@ -310,12 +332,11 @@ def parse_product_spec(text: str) -> BridgedProductSpec:
     if k_start < 0:
         raise SpecError("k_start must be >= 0")
     factor_tree, factor = _compile_tree(fields["factor"], "k", what="factor")
-    exponent_tree = _compile_tree(fields["exponent"], "k", alternation=True, what="exponent")[0]
-    e_tree = _compile_tree(fields.get("e_exponent", "0"), "k", what="e_exponent")[0]
-    e_exponent = ex.compile_exact(e_tree)
-    if not callable(e_exponent):
-        e_exponent = Fraction(e_exponent)
-    upper = _compile(fields["upper"], "n", what="upper")
+    exponent_tree, exponent = _compile_tree(
+        fields["exponent"], "k", alternation=True, what="exponent"
+    )
+    e_tree, e_exponent = _compile_tree(fields.get("e_exponent", "0"), "k", what="e_exponent")
+    upper = _compile_tree(fields["upper"], "n", what="upper")[1]
     bridge = None
     if "bridge" in fields:
         parts = fields["bridge"].split(";")
@@ -324,16 +345,16 @@ def parse_product_spec(text: str) -> BridgedProductSpec:
         base_tree, base = _compile_tree(parts[0], "n", var_base=True, what="bridge base")
         bridge = (
             base,
-            _compile(parts[1], "n", what="bridge power"),
-            _compile(parts[2], "n", what="bridge e-power"),
-            ex.compile_powers(base_tree),
+            _compile_tree(parts[1], "n", what="bridge power")[1],
+            _compile_tree(parts[2], "n", what="bridge e-power")[1],
+            ex.compile_power_columns(base_tree),
         )
 
     spec = BridgedProductSpec(
         name=name,
         k_start=k_start,
         _factor=factor,
-        _exponent=ex.compile_exact(exponent_tree),
+        _exponent=exponent,
         _e_exponent=e_exponent,
         _columns=(
             ex.compile_power_columns(factor_tree),
@@ -551,9 +572,10 @@ class ProductEvalSession:
     (``factor_columns``: their log forms, exponents m_k and e-exponents) and
     adds m_k times each pair's exponent to a count per integer; no step
     builds a `Fraction` or takes a gcd.  A chunk whose columns raise, hold
-    an integer <= 0 or a non-integral exponent is walked k by k through
-    ``factor_log`` and ``exponent``, so an error names the first factor that
-    raises and leaves the counts of those before it.  A variable e-exponent
+    an integer <= 0 or a non-integral exponent is walked k by k, each k's
+    columns taken from the scalar forms where the column forms refuse it
+    (``BridgedProductSpec._factor_at``), so an error names the first factor
+    that raises and leaves the counts of those before it.  A variable e-exponent
     is summed a chunk at a time in integers over a common denominator.
     Every integer splits into its primes, and
     the counts are exact integers that cancel, so the prime exponents are
@@ -573,7 +595,10 @@ class ProductEvalSession:
     walked.
     The value is the table's ``log_sum`` of the counts and the bridge's
     pairs, with the e-part as its offset, so it is a function of (n, p)
-    alone, whatever was requested before.
+    alone, whatever was requested before.  The bridges of a request's nodes
+    are evaluated at once (``bridge_logs``); where that raises, node by node
+    after each node's walk, so an error names the node and the factors
+    before it are walked first.
 
     With integer weight vectors over the nodes ending at n, ``log_partial``
     returns sum_i w_i s(n_i) / den for each vector, exactly as one more
@@ -626,7 +651,8 @@ class ProductEvalSession:
             first, last, columns = self._chunk
             stop = min(upper, last) + 1
             if columns is None:
-                self._walk_each(k, stop)
+                for j in range(k, stop):
+                    self._fold(self.spec._factor_at(j), 0, 1)
             else:
                 self._fold(columns, k - first, stop - first)
             if len(self._pending) > _PENDING_CAP:
@@ -651,22 +677,6 @@ class ProductEvalSession:
         if es is not None:
             self._e += _exact_dot(repeat(1), es[a:b])
         self._next_k += b - a
-
-    def _walk_each(self, lo: int, hi: int) -> None:
-        """Add the factors k = lo .. hi - 1 one at a time; one that raises
-        leaves the counts of those before it."""
-        spec, pending = self.spec, self._pending
-        e_at = spec.e_exponent if callable(spec._e_exponent) else None
-        for k in range(lo, hi):
-            pairs = spec.factor_log(k)
-            m = spec.exponent(k)
-            e = e_at(k) if e_at is not None else 0
-            if m:
-                for v, c in pairs:
-                    pending[v] = pending.get(v, 0) + c * m
-            if e:
-                self._e += e
-            self._next_k = k + 1
 
     def _split_pending(self, into: Optional[dict] = None) -> None:
         """Move the waiting integers' exponent changes onto the atom counts
@@ -708,10 +718,19 @@ class ProductEvalSession:
         horizon = uppers[-1]
         # suffix[v][i]: the weight of a factor first walked for node i
         suffix = [list(accumulate(reversed(w)))[::-1] for w in vectors]
-        e_varies = callable(spec._e_exponent)
+        e_at = spec._columns[2]
+        e_varies = callable(e_at)
+        nodes = list(range(first, n + 1))
+        # the bridges of all the nodes at once; where that raises, node by
+        # node after each node's walk, so that an error names its node and
+        # comes after those of the factors before it
+        try:
+            node_logs = spec.bridge_logs(nodes)
+        except (SpecError, DomainError, OracleRangeError):
+            node_logs = None
         atoms, bridges = None, [{} for _ in vectors]
         e_walked, e_bridge = [], []  # per node
-        for i, node in enumerate(range(first, n + 1)):
+        for i, node in enumerate(nodes):
             upper = max(uppers[i], spec.k_start - 1)
             if i == 0:
                 self._walk(upper, horizon=horizon)
@@ -732,7 +751,7 @@ class ProductEvalSession:
                             cv[q] = cv.get(q, 0) + s[i] * c
             # the factors' e-powers, or their count when the e-exponent is constant
             e_walked.append(self._e if e_varies else self._next_k - spec.k_start)
-            br = spec.bridge_log(node)
+            br = spec.bridge_logs([node])[0] if node_logs is None else node_logs[i]
             if br is None:
                 e_bridge.append(0)
             else:
@@ -744,7 +763,7 @@ class ProductEvalSession:
                     if w[i]:
                         for q, c in node_bridge.items():
                             bv[q] = bv.get(q, 0) + w[i] * c
-        e_scale = 1 if e_varies else spec._e_exponent
+        e_scale = 1 if e_varies else e_at
         terms = [([cv, bv], _exact_dot(w, e_walked) * e_scale + _exact_dot(w, e_bridge))
                  for w, cv, bv in zip(vectors, atoms, bridges)]
         values = logs.log_sum(p, terms, den)

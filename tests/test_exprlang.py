@@ -446,9 +446,9 @@ def _outcome(fn, *args):
     return Fraction(v)
 
 
-def _exact_at(expr, k: int):
-    exact = ex.compile_exact(expr)  # the value itself when k does not occur
-    return exact(k) if callable(exact) else exact
+def _column_at(expr, k: int):
+    column = ex.compile_column(expr)  # the value itself when k does not occur
+    return column([k])[0] if callable(column) else column
 
 
 def _reference_pow(base: str, exponent: str, k: int):
@@ -464,11 +464,11 @@ def _reference_pow(base: str, exponent: str, k: int):
 @settings(deadline=None, max_examples=150)
 @given(sign=st.sampled_from(["1", "(-1)"]), exponent=_EXPONENT_TEXTS, k=st.integers(-6, 40))
 def test_sign_power_is_the_exact_power(sign, exponent, k):
-    # (+-1)^<expr> compiles to a parity test
+    # (+-1)^<expr> is a parity test in the column form
     text = f"{sign}^({exponent})"
     expr, field = ex.compile_field(text, "k")
     want = _reference_pow(sign, exponent, k)
-    assert _outcome(_exact_at, expr, k) == want
+    assert _outcome(_column_at, expr, k) == want
     assert _outcome(field, k) == want
 
 
@@ -479,27 +479,28 @@ def test_sign_power_is_the_exact_power(sign, exponent, k):
     k=st.integers(-6, 40),
 )
 def test_constant_power_is_the_exact_power(base, power, k):
-    # <expr>^<integer >= 0> is raised directly behind the exact-power cap;
-    # a negative constant keeps _exact_pow, zero base included
+    # the column form raises <expr>^<integer >= 0> directly behind the
+    # exact-power cap; a negative constant keeps _exact_pow, zero base included
     text = f"({base})^{power}"
     expr, field = ex.compile_field(text, "k")
     want = _reference_pow(base, power, k)
-    assert _outcome(_exact_at, expr, k) == want
+    assert _outcome(_column_at, expr, k) == want
     assert _outcome(field, k) == want
 
 
 def test_fast_powers_refuse_as_the_exact_power_does():
-    # the three refusals the fast closures share with _exact_pow
-    _, half = ex.compile_field("(-1)^(k/2)", "k")
-    with pytest.raises(SpecError, match="exponent in \\^ must be an integer"):
-        half(3)
-    _, inverse = ex.compile_field("(k - 3)^(0-2)", "k")
-    with pytest.raises(SpecError, match="division by zero"):
-        inverse(3)
-    _, huge = ex.compile_field("k^16777217", "k")
-    with pytest.raises(OracleRangeError, match="exact power"):
-        huge(2)
-    assert huge(1) == 1 and huge(0) == 0
+    # the three refusals the column form's fast powers share with _exact_pow
+    for text, k, error, match in (
+        ("(-1)^(k/2)", 3, SpecError, "exponent in \\^ must be an integer"),
+        ("(k - 3)^(0-2)", 3, SpecError, "division by zero"),
+        ("k^16777217", 2, OracleRangeError, "exact power"),
+    ):
+        expr, field = ex.compile_field(text, "k")
+        for form in (lambda: ex.compile_column(expr)([k]), lambda: field(k)):
+            with pytest.raises(error, match=match):
+                form()
+    huge = ex.compile_column(ex.compile_field("k^16777217", "k")[0])
+    assert huge([1]) == [1] and huge([0]) == [0] and huge([0, 1, -1]) == [0, 1, -1]
 
 
 def _power_product(pairs) -> Fraction:
@@ -509,19 +510,32 @@ def _power_product(pairs) -> Fraction:
     return out
 
 
-def test_compile_powers_keeps_exponents_exact_and_builds_no_power():
+def _column_entry(part, i):
+    return part if type(part) is int else part[i]
+
+
+def _pairs_at(pairs, i):
+    # the i-th value's (integer, exponent) pairs of compile_power_columns' columns
+    return [(_column_entry(v, i), _column_entry(m, i)) for v, m in pairs]
+
+
+def test_compile_power_columns_keeps_exponents_exact_and_builds_no_power():
     expr, exact = ex.compile_field("(2*n+2)^(4*n+5)/(2*n+1)^(12*n+9)", "n")
-    pairs = ex.compile_powers(expr)
-    assert pairs(3) == [(8, 17), (7, -45)]
-    assert _power_product(pairs(3)) == exact(3)
+    pairs = ex.compile_power_columns(expr)
+    assert pairs([3]) == [([8], [17]), ([7], [-45])]
+    assert _power_product(_pairs_at(pairs([3]), 0)) == exact(3)
     n = 10**7  # the exact power would have about 2^30 bits
-    assert pairs(n) == [(2 * n + 2, 4 * n + 5), (2 * n + 1, -(12 * n + 9))]
+    assert pairs([3, n]) == [
+        ([8, 2 * n + 2], [17, 4 * n + 5]),
+        ([7, 2 * n + 1], [-45, -(12 * n + 9)]),
+    ]
     with pytest.raises(OracleRangeError, match="exact power"):
         exact(n)
     # sums and decimals are evaluated exactly, then split into numerator and denominator
     expr, exact = ex.compile_field("(n + 1/2)*3^n/1.5", "n")
-    assert ex.compile_powers(expr)(2) == [(5, 1), (2, -1), (3, 2), (3, -1), (2, 1)]
-    assert _power_product(ex.compile_powers(expr)(2)) == exact(2)
+    pairs = ex.compile_power_columns(expr)([2])
+    assert _pairs_at(pairs, 0) == [(5, 1), (2, -1), (3, 2), (3, -1), (2, 1)]
+    assert _power_product(_pairs_at(pairs, 0)) == exact(2)
 
 
 @settings(deadline=None, max_examples=120)
@@ -532,7 +546,7 @@ def test_compiled_powers_multiply_to_the_exact_field(text, k):
         want = exact(k)
     except SpecError:  # division by zero, folded or at this k
         return
-    assert _power_product(ex.compile_powers(expr)(k)) == want
+    assert _power_product(_pairs_at(ex.compile_power_columns(expr)([k]), 0)) == want
 
 
 def _product_texts(sign_powers: bool):
@@ -553,10 +567,6 @@ def _product_texts(sign_powers: bool):
     return st.recursive(st.sampled_from(["k", "0", "1", "2", "3", "7", "1.5"]), grow, max_leaves=8)
 
 
-def _column_entry(part, i):
-    return part if type(part) is int else part[i]
-
-
 @settings(deadline=None, max_examples=200)
 @given(
     text=st.one_of(_product_texts(False), _product_texts(True)),
@@ -565,16 +575,16 @@ def _column_entry(part, i):
 )
 def test_column_kernels_are_the_compiled_forms_element_for_element(text, lo, count):
     try:
-        expr, _ = ex.compile_field(text, "k")
+        expr, field = ex.compile_field(text, "k")
     except SpecError:  # a division by zero folded at compile time
         return
     ks = list(range(lo, lo + count))
-    exact, column = ex.compile_exact(expr), ex.compile_column(expr)
-    if not callable(exact):
-        assert not callable(column) and type(column) is type(exact) and column == exact
+    scalar = [_outcome(field, k) for k in ks]
+    errors = [o for o in scalar if type(o) is tuple]
+    column = ex.compile_column(expr)
+    if not callable(column):
+        assert type(column) in (int, Fraction) and scalar == [Fraction(column)] * count
     else:
-        scalar = [_outcome(exact, k) for k in ks]
-        errors = [o for o in scalar if type(o) is tuple]
         try:
             got = column(ks)
         except (SpecError, OracleRangeError) as err:
@@ -582,23 +592,17 @@ def test_column_kernels_are_the_compiled_forms_element_for_element(text, lo, cou
             assert (type(err), str(err)) in errors
         else:
             assert not errors
-            assert [type(v) for v in got] == [type(exact(k)) for k in ks]
+            assert all(type(v) in (int, Fraction) for v in got)
             assert [Fraction(v) for v in got] == scalar
-    powers, power_columns = ex.compile_powers(expr), ex.compile_power_columns(expr)
-    scalar, errors = [], []
-    for k in ks:
-        try:
-            scalar.append(powers(k))
-        except (SpecError, OracleRangeError) as err:
-            errors.append((type(err), str(err)))
     try:
-        pairs = power_columns(ks)
+        pairs = ex.compile_power_columns(expr)(ks)
     except (SpecError, OracleRangeError) as err:
         assert (type(err), str(err)) in errors
     else:
-        assert not errors
+        # it builds no power and divides by nothing, so it may return where
+        # the scalar form raises; elsewhere the powers multiply to its value
         for i, want in enumerate(scalar):
-            got = [(_column_entry(v, i), _column_entry(m, i)) for v, m in pairs]
-            # where the column mixes ints and Fractions, an int's denominator
-            # enters as the integer 1
-            assert [pair for pair in got if pair[0] != 1] == [pair for pair in want if pair[0] != 1]
+            got = _pairs_at(pairs, i)
+            assert all(type(v) is int and type(m) is int for v, m in got)
+            if type(want) is not tuple:
+                assert _power_product(got) == want

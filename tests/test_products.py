@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from test_exprlang import _product_texts
 
 from altprod import accel
+from altprod import exprlang as ex
 from altprod import numkernel as nk
 from altprod import products as pr
 from altprod.accel import RAW, WYNN
@@ -181,6 +182,30 @@ def test_oversized_exact_power_is_refused_at_parse_time():
         spec_with(factor="k*2^(10^9)")
     # powers of -1 stay one bit wide however large the index
     assert spec_with(exponent="k*(-1)^k").exponent(10**9 + 1) == -(10**9 + 1)
+
+
+@pytest.mark.parametrize("fields,where,n", [
+    ({"factor": "k/(k-3)^2"}, "factor at k=3", 2),
+    ({"exponent": "(k + 0/(k-3))*(-1)^k"}, "exponent at k=3", 2),
+    ({"e_exponent": "1/(k-4)"}, "e_exponent at k=4", 2),
+    ({"upper": "2*n + 0/(n-70)"}, "upper index at n=70", 70),
+    ({"bridge": "2/(n-5)^2 ; 1 ; 0"}, "bridge base at n=5", 5),
+    ({"bridge": "2 ; 1 + 0/(n-5) ; 0"}, "bridge power at n=5", 5),
+    ({"bridge": "1 ; 1 ; 1/(n-5)"}, "bridge e-power at n=5", 5),
+])
+def test_an_error_at_an_index_names_the_spec_the_field_and_the_index(fields, where, n):
+    # the exact oracle, a walk to n and a weighted request ending at n all
+    # raise the scalar form's error, prefixed by where it was met
+    spec = spec_with(name="v", **fields)
+    forms = (
+        lambda: pr.partial_exact(spec, n),
+        lambda: fresh_log_partial(spec, n, 64),
+        lambda: pr.ProductEvalSession(spec).log_partial(n, 64, ([1, -2, 1],)),
+    )
+    for form in forms:
+        with pytest.raises(SpecError) as info:
+            form()
+        assert str(info.value) == f"v: {where}: division by zero in expression"
 
 
 @pytest.mark.parametrize("upper", ["100-n", "5", "n*(n-3)", "(n-8)^2"])
@@ -442,8 +467,7 @@ def _distinct_atoms(spec, ns) -> set:
     for k in range(spec.k_start, spec.upper_index(max(ns)) + 1):
         f = spec.factor(k)
         atoms |= _prime_factors(f.numerator) | _prime_factors(f.denominator)
-    for n in ns:
-        br = spec.bridge_log(n)
+    for br in spec.bridge_logs(list(ns)):
         for v, _ in br[0] if br is not None else ():
             atoms |= _prime_factors(v)
     return atoms
@@ -461,6 +485,28 @@ def test_one_limit_is_one_extrapolation_over_one_factor_walk(monkeypatch, name):
     factors = _evaluated_indices(columns)
     assert len(factors) == spec.upper_index(n0 + J) - spec.k_start + 1
     assert 0 < len(logs) <= len(_distinct_atoms(spec, range(n0, n0 + J + 1)))
+
+
+# every fixed builtin, and the parameterized ones at a few parameters
+COLUMN_PATH_CASES = [(name, None) for name in pr._FIXED_BUILTINS] + [
+    ("BD_D", Fraction(1)), ("BD_D", Fraction(1, 2)), ("BD_D", Fraction(-2, 3)),
+    ("ADAMCHIK_E", Fraction(1, 2)), ("ADAMCHIK_E", Fraction(1, 4)), ("ADAMCHIK_E", Fraction(-5, 7)),
+    ("ADAMCHIK_P5", Fraction(1, 4)), ("ADAMCHIK_P5", Fraction(-1, 3)), ("ADAMCHIK_P5", Fraction(3)),
+]
+
+
+@pytest.mark.parametrize("name,x", COLUMN_PATH_CASES, ids=lambda v: str(v))
+def test_every_builtin_walks_a_chunk_on_the_column_fast_forms(monkeypatch, name, x):
+    # a chunk of 4096 factors evaluates in column form, with int exponents
+    # and without _exact_pow: losing a column fast form (the parity test of
+    # (-1)^k, a constant power) would go through _exact_pow, and one that
+    # made the chunk fail would send the walk k by k
+    spec = pr.builtin(name, x)
+    exact_pows = _count_calls(monkeypatch, ex, "_exact_pow")
+    columns = spec.factor_columns(list(range(spec.k_start, spec.k_start + 4096)))
+    assert columns is not None
+    assert all(type(m) is int for m in columns[1])
+    assert exact_pows == []
 
 
 # the product records of the registry: the catalog entries at their parameters
@@ -625,10 +671,10 @@ def test_a_weighted_walk_that_raised_keeps_the_counts_it_walked(monkeypatch):
 
 def _first_failure(spec, upper):
     # the factors one at a time, as a walk without column kernels takes
-    # them: the first k whose factor_log, exponent or e_exponent raises
+    # them: the first k whose factor, exponent or e_exponent raises
     for k in range(spec.k_start, upper + 1):
         try:
-            spec.factor_log(k)
+            spec.factor(k)
             spec.exponent(k)
             spec.e_exponent(k)
         except (SpecError, DomainError, OracleRangeError) as err:
@@ -672,7 +718,7 @@ def test_a_walk_raises_at_the_first_factor_the_scalar_form_refuses(
     session._split_pending()
     assert session._next_k == ks.stop
     assert {q: c for q, c in session._counts.items() if c} == _reference_counts(spec, ks)
-    if callable(spec._e_exponent):
+    if callable(spec._columns[2]):  # an e-exponent that depends on k
         assert session._e == sum((spec.e_exponent(k) for k in ks), Fraction(0))
 
 
@@ -841,7 +887,7 @@ def _negated_parts_spec():
     ns=st.lists(st.integers(min_value=0, max_value=60), min_size=1, max_size=4),
 )
 def test_walked_counts_are_the_split_of_the_reduced_factors(name, a, b, ns):
-    # the walk over factor_log's pairs gives the atoms of f(k)'s reduced
+    # the walk over the factors' log forms gives the atoms of f(k)'s reduced
     # numerator and denominator, on both sides of the sieve cap, forward
     # and backward, and the value is a fresh table's log_sum of them
     x = Fraction(a, b)
@@ -862,9 +908,9 @@ def test_walked_counts_are_the_split_of_the_reduced_factors(name, a, b, ns):
         assert got.raw == nk.PrimeLogTable().log_sum(p, [([want], e_power)])[0].raw
 
 
-def test_factor_log_takes_negated_parts_in_absolute_value():
+def test_factor_columns_take_negated_parts_in_absolute_value():
     spec = _negated_parts_spec()
-    assert spec.factor_log(5) == [(5, 1), (6, -1)]
+    assert spec.factor_columns([5]) == ([([5], 1), ([6], -1)], [-15], None)
     assert spec.factor(5) == Fraction(5, 6)
     kt1 = pr.builtin("KT1")
     for n in (0, 7, 40):
@@ -875,7 +921,7 @@ def test_negated_parts_walk_on_the_column_path(monkeypatch):
     # (-k)/(-k-1) is KT1's factor with both parts negated: the chunk takes
     # them in absolute value instead of walking k by k
     spec = _negated_parts_spec()
-    per_k = _count_calls(monkeypatch, pr.BridgedProductSpec, "factor_log")
+    per_k = _count_calls(monkeypatch, pr.BridgedProductSpec, "_factor_at")
     got = fresh_log_partial(spec, 2000, 100)
     assert per_k == []
     assert got.raw == fresh_log_partial(pr.builtin("KT1"), 2000, 100).raw
@@ -892,21 +938,24 @@ def test_a_non_positive_factor_with_negated_parts_names_its_k(factor, k):
         fresh_log_partial(spec, 40, 100)
 
 
-def test_factor_log_raises_what_the_factor_raises():
-    zero = pr.parse_product_spec("name = z\nfactor = (k-3)/k\nexponent = k\nupper = 2*n")
-    with pytest.raises(DomainError, match="k=3"):
-        zero.factor_log(3)
-    pole = pr.parse_product_spec("name = p\nfactor = k/(k-3)\nexponent = k\nupper = 2*n")
-    with pytest.raises(SpecError, match="division by zero"):
-        pole.factor_log(3)
-    inner = pr.parse_product_spec(
-        "name = i\nfactor = (1/(k-3) + 1)*k\nexponent = k\nupper = 2*n"
-    )
-    with pytest.raises(SpecError, match="division by zero"):
-        inner.factor_log(3)
-    negative = pr.parse_product_spec("name = m\nfactor = (k-5)/k\nexponent = k\nupper = 2*n")
-    with pytest.raises(DomainError, match="k=2 is not positive"):
-        negative.factor_log(2)
+def test_a_walk_raises_what_the_factor_raises():
+    # each walk starts at the refused k: its column refuses it, and the walk
+    # raises what evaluating f(k) raises
+    for name, factor, k, error, match in (
+        ("z", "(k-3)/k", 3, DomainError, "k=3"),
+        ("p", "k/(k-3)", 3, SpecError, "division by zero"),
+        ("i", "(1/(k-3) + 1)*k", 3, SpecError, "division by zero"),
+        ("m", "(k-5)/k", 2, DomainError, "k=2 is not positive"),
+    ):
+        spec = pr.parse_product_spec(
+            f"name = {name}\nfactor = {factor}\nexponent = k\nk_start = {k}\nupper = 2*n"
+        )
+        assert spec.factor_columns([k]) is None
+        with pytest.raises(error, match=match) as walked:
+            fresh_log_partial(spec, 40, 100)
+        with pytest.raises(error) as scalar:
+            spec.factor(k)
+        assert str(walked.value) == str(scalar.value)
 
 
 @settings(deadline=None, max_examples=25)
@@ -987,11 +1036,18 @@ _GS53R_BRIDGE_ONLY = """
 
 def test_gs53r_bridge_log_past_the_exact_power_cap_matches_mpmath():
     # (2n+2)^(4n+5)/(2n+1)^(12n+9) at n = 240000 has about 2^26 bits, past
-    # the exact-power cap; its log form never builds it
+    # the exact-power cap; its log form never builds it, at one node or
+    # over a request's nodes at once
     n, p = 240_000, 256
     spec = pr.parse_product_spec(_GS53R_BRIDGE_ONLY)
-    assert spec.bridge_log(n) == pr.builtin("GS53R").bridge_log(n)
+    nodes = [n - 2, n - 1, n]
+    logs = spec.bridge_logs(nodes)
+    assert logs == pr.builtin("GS53R").bridge_logs(nodes)
+    assert [spec.bridge_logs([m])[0] for m in nodes] == logs
+    assert logs[2] == ([(2 * n + 2, (4 * n + 5) * n), (2 * n + 1, -(12 * n + 9) * n)], 0)
     got = fresh_log_partial(spec, n, p)
+    (weighted,) = pr.ProductEvalSession(spec).log_partial(n, p, ([0, 0, 1],))
+    assert weighted.raw == got.raw
     with mp.workprec(p + 64):
         want = n * ((4 * n + 5) * mp.log(2 * n + 2) - (12 * n + 9) * mp.log(2 * n + 1))
         assert abs(as_mpf(got) - want) <= abs(want) * mp.mpf(2) ** (1 - p)
